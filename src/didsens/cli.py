@@ -37,6 +37,7 @@ from .matching import (
 )
 from .patterns import write_pattern_svgs
 from .sensitivity import (
+    _changepoint_search,
     amplify_did,
     amplify_paired,
     changepoint_gamma,
@@ -635,7 +636,7 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
         def sate_p(g: float) -> float:
             return sate_pvalue(quads, tau0=cfg.tau0, gamma=g, sided=cfg.sided).p_value
 
-        cp = _changepoint_by_probe(sate_p, cfg.alpha)
+        cp = _changepoint_search(sate_p, cfg.alpha, 1e-4)
     if cp is None:
         changepoint = None
     else:
@@ -687,25 +688,6 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
             )
     print(f"wrote {outdir / 'sens_report.json'}")
     return 0
-
-
-def _changepoint_by_probe(pval, alpha: float, tol: float = 1e-4) -> float | None:
-    """Changepoint search for monotone worst-case p-value functions."""
-    if pval(1.0) > alpha:
-        return None
-    lo, hi = 1.0, 2.0
-    while pval(hi) <= alpha:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            return math.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pval(mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def cmd_amplify(gamma: float, lambdas, json_path: str | None) -> int:

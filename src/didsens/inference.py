@@ -140,17 +140,45 @@ def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
     return None
 
 
+# The last DP result, as ((sorted integer scores, p_plus), read-only pmf).
+_last_pmf: tuple[tuple[bytes, float], np.ndarray] | None = None
+
+
+def _null_pmf(ints: np.ndarray, p_plus: float) -> np.ndarray:
+    """Read-only pmf of the positive-sign sum of integer scores `ints`.
+
+    The DP runs over the scores in ascending order, so the result depends
+    only on the score multiset, not on row order, and the running support
+    grows as slowly as it can.  The last pmf is kept and served again while
+    (multiset, p_plus) is unchanged: without ties or zeros the signed-rank
+    scores are 1..n at every tau, so a CI inversion or a run of simulation
+    replications needs one DP.
+    """
+    global _last_pmf
+    ordered = np.sort(ints)
+    key = (ordered.tobytes(), float(p_plus))
+    # One read of the shared slot: the pmf returned always matches `key`.
+    entry = _last_pmf
+    if entry is None or entry[0] != key:
+        pmf = kernels.signflip_pmf(ordered, p_plus)
+        pmf.flags.writeable = False
+        entry = _last_pmf = (key, pmf)
+    return entry[1]
+
+
 def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: bool) -> tuple[float, str]:
     """One tail of the null distribution of the positive-sign score sum.
 
     Routes: exact DP over integer-scaled scores, exhaustive enumeration for
     small n, else a normal approximation without continuity correction.
+    The DP runs once per (score multiset, p_plus), in ascending score order
+    (see `_null_pmf`).
     """
     n = q_active.size
     scaled = _integer_scaled(q_active)
     if scaled is not None:
         ints, scale = scaled
-        pmf = kernels.signflip_pmf(ints, p_plus)
+        pmf = _null_pmf(ints, p_plus)
         if greater:
             k = int(np.ceil(t_obs * scale - 1e-9))
             p = float(pmf[max(k, 0):].sum())
@@ -270,6 +298,9 @@ def invert_ci(
     Returns the set {tau : two-sided p-value at tau > alpha} as an
     interval, endpoints located by bisection to `tol`.  Endpoints are
     +/-inf when even extreme shifts are not rejected (tiny samples).
+    On the DP route the null distribution is computed once per (score
+    multiset, p_plus), in ascending score order, and shared by every probe
+    that sees the same multiset.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -1,16 +1,10 @@
-"""Exact null-distribution kernels.
+"""Exact null-distribution kernel: the numpy sign-flip DP.
 
-Prefers the compiled extension when it built; otherwise the pure-numpy
-fallback. `BACKEND` records which one is active.
+`BACKEND` names the implementation and is recorded in run provenance.
 """
 
-try:
-    from ._signflip import signflip_pmf
+from ._signflip_py import signflip_pmf
 
-    BACKEND = "cython"
-except ImportError:
-    from ._signflip_py import signflip_pmf
-
-    BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["signflip_pmf", "BACKEND"]

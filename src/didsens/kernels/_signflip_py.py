@@ -1,4 +1,4 @@
-"""Pure-numpy fallback for the sign-flip convolution kernel."""
+"""Pure-numpy sign-flip convolution kernel."""
 
 import numpy as np
 

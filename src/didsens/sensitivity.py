@@ -215,6 +215,15 @@ def changepoint_gamma(
         def pval(g: float) -> float:
             return worst_case_pvalue(quads, tau0, score, g, "upper", sided).p_value
 
+    return _changepoint_search(pval, alpha, tol)
+
+
+def _changepoint_search(pval, alpha: float, tol: float) -> float | None:
+    """Largest gamma with pval(gamma) <= alpha, for a nondecreasing pval.
+
+    Doubles gamma from 1 to bracket the crossing, then bisects to `tol`.
+    None when pval(1) > alpha; inf when the bracket passes 1e6.
+    """
     if pval(1.0) > alpha:
         return None
     lo, hi = 1.0, 2.0

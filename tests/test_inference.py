@@ -5,9 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from didsens import inference, kernels
 from didsens.errors import DegenerateDataError
 from didsens.inference import (
     ScoreFunction,
+    _integer_scaled,
+    _null_pmf,
     hodges_lehmann,
     invert_ci,
     point_and_interval,
@@ -15,6 +18,7 @@ from didsens.inference import (
     sign_score_statistic,
 )
 from didsens.oracles import exact_null_distribution
+from didsens.sensitivity import one_param_bounds, worst_case_pvalue
 
 from conftest import quadset_from_d
 
@@ -208,3 +212,65 @@ def test_negation_swaps_tails(d):
     pg = randomization_pvalue(qs, sided="one_sided_greater").p_value
     pl = randomization_pvalue(neg, sided="one_sided_less").p_value
     assert pg == pytest.approx(pl, abs=1e-12)
+
+
+def test_invert_ci_runs_one_dp_without_ties_or_zeros(monkeypatch):
+    # tie-free, zero-free contrasts score 1..n at every probed tau
+    d = np.random.default_rng(31).normal(0.8, 1.0, 60)
+    qs = quadset_from_d(d.tolist())
+    calls = []
+    kernel = kernels.signflip_pmf
+
+    def counted(scores, p_plus):
+        calls.append(p_plus)
+        return kernel(scores, p_plus)
+
+    monkeypatch.setattr(inference, "_last_pmf", None)
+    monkeypatch.setattr(kernels, "signflip_pmf", counted)
+    lo, hi = invert_ci(qs, alpha=0.05)
+    assert lo < hodges_lehmann(qs) < hi
+    assert calls == [0.5]
+
+
+def test_dp_results_do_not_depend_on_row_order():
+    # one-decimal contrasts tie often: half ranks, the scale-2 DP route
+    rng = np.random.default_rng(37)
+    d = np.round(rng.normal(0.3, 1.0, 300), 1)
+    d[:5] = 0.0
+
+    def results(values):
+        qs = quadset_from_d(values.tolist())
+        pvals = [randomization_pvalue(qs, sided=sided).p_value for sided in inference.SIDES]
+        pvals += [worst_case_pvalue(qs, gamma=gamma).p_value for gamma in (1.0, 1.5)]
+        return pvals, invert_ci(qs, alpha=0.05)
+
+    base = results(d)
+    assert randomization_pvalue(quadset_from_d(d.tolist())).method == "wilcoxon:dp"
+    for _ in range(3):
+        assert results(rng.permutation(d)) == base
+
+
+def test_null_pmf_memo_is_never_stale():
+    wilcoxon = ScoreFunction.wilcoxon()
+    # tied magnitudes give half ranks (scale 2); zero contrasts are dropped
+    d_tied = np.array([1.0, -1.0, 2.0, 0.0, 3.0, -3.0, 0.0, 4.0, -5.0])
+    d_plain = np.array([2.0, -1.0, 3.0, 4.0, -5.0, 6.0, 7.0])
+    multisets = []
+    for d, expected_scale in ((d_tied, 2), (d_plain, 1)):
+        q = wilcoxon.scores(np.abs(d))
+        ints, scale = _integer_scaled(q[q > 0])
+        assert scale == expected_scale
+        multisets.append((d, ints, scale))
+    sequence = [(0, 1.0), (0, 2.0), (1, 2.0), (1, 1.0), (0, 1.0), (0, 1.0), (1, 2.0), (0, 2.0)]
+    for which, gamma in sequence:
+        d, ints, scale = multisets[which]
+        p_plus = one_param_bounds(gamma)[1]
+        got = _null_pmf(ints[::-1], p_plus)
+        fresh = kernels.signflip_pmf(np.sort(ints), p_plus)
+        assert np.array_equal(got, fresh)
+        assert not got.flags.writeable
+        # the public engine reads the same pmf
+        t_obs = float(wilcoxon.scores(np.abs(d))[d > 0].sum())
+        res = worst_case_pvalue(quadset_from_d(d.tolist()), gamma=gamma)
+        assert res.method.startswith("wilcoxon:dp")
+        assert res.p_value == min(1.0, float(fresh[int(np.ceil(t_obs * scale - 1e-9)):].sum()))

@@ -4,30 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from didsens.kernels import BACKEND, signflip_pmf
-from didsens.kernels._signflip_py import signflip_pmf as python_pmf
-from didsens.kernels._signflip_ref import signflip_pmf as reference_pmf
 from didsens.oracles import exact_null_distribution
 
 
 def test_backend_reported():
     assert BACKEND in ("cython", "python")
-
-
-def test_selected_matches_python_fallback_exactly():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(1, 40))
-        scores = rng.integers(0, 15, n).astype(np.int64)
-        p = float(rng.uniform(0.0, 1.0))
-        a = signflip_pmf(scores, p)
-        b = python_pmf(scores, p)
-        assert a.shape == b.shape
-        assert np.array_equal(a, b) or np.max(np.abs(a - b)) <= 1e-15
-
-
-def test_reference_module_is_always_importable():
-    scores = np.array([1, 2, 3], dtype=np.int64)
-    assert np.allclose(reference_pmf(scores, 0.5), python_pmf(scores, 0.5))
 
 
 def test_matches_enumeration_oracle():
