@@ -654,10 +654,28 @@ def cross_period_match(
 # balance reporting
 
 
+def _treated_sums(r: np.ndarray, n_a: int, x: np.ndarray) -> np.ndarray:
+    """Row d: column sums of x over the n_a smallest entries of r[d].
+
+    A linear-time partition selects; its buffer then holds the 0/1 mask, so
+    one matrix product gives every sum.  x's last column must be ones: it
+    counts each row's units, and a row with a tie at its n_a-th value
+    (chance about n * 2**-53 for uniform draws) is selected again with
+    argpartition, so every row takes exactly n_a units.
+    """
+    mask = np.partition(r, n_a - 1, axis=1)
+    kth = mask[:, n_a - 1, None].copy()
+    np.less_equal(r, kth, out=mask, casting="unsafe")
+    sums = mask @ x
+    for d in np.flatnonzero(sums[:, -1] != n_a):
+        mask[d] = 0.0
+        mask[d, np.argpartition(r[d], n_a - 1)[:n_a]] = 1.0
+        sums[d] = mask[d] @ x
+    return sums
+
+
 def _permutation_pvalues(
-    columns: Mapping[str, np.ndarray],
-    kinds: Mapping[str, str],
-    scales: Mapping[str, object],
+    features: Mapping[str, Sequence[tuple[np.ndarray, float]]],
     ia: np.ndarray,
     ib: np.ndarray,
     seed: int,
@@ -665,59 +683,44 @@ def _permutation_pvalues(
 ) -> dict[str, float]:
     """Two-sample permutation p-values, shared draws across covariates.
 
-    Continuous statistic: absolute mean difference.  Nominal statistic:
-    max over categories of the absolute standardized indicator difference
-    (scales fixed by the caller).  Add-one convention.
+    features[name] lists (column, scale) pairs over all units; the
+    statistic is the max over the pairs of |mean_a - mean_b| / scale (one
+    pair with scale 1 for a continuous covariate, one indicator per
+    category with a positive pooled SD for a nominal one; no pair gives 0).
+
+    Draws come in blocks of at most 2000 from default_rng(seed): each block
+    is one rng.random((b, n)) matrix over the pooled units (ia then ib), and
+    draw d's treated set is the n_a smallest entries of row d.  All treated
+    sums of a block come from one matrix product.  Add-one convention.
     """
     rng = np.random.default_rng(seed)
     pool = np.concatenate([ia, ib])
     n_a = ia.size
     n = pool.size
-    obs: dict[str, float] = {}
-    exceed: dict[str, int] = {}
-    pooled_cols: dict[str, np.ndarray] = {}
-    for name in columns:
-        if kinds[name] == "continuous":
-            col = np.asarray(columns[name], dtype=np.float64)[pool]
-            pooled_cols[name] = col
-            obs[name] = abs(col[:n_a].mean() - col[n_a:].mean())
-        else:
-            labels = np.asarray(columns[name], dtype=object)[pool]
-            cats, scale_map = scales[name]
-            mat = np.column_stack([(labels == cat).astype(np.float64) for cat in cats])
-            pooled_cols[name] = mat
-            diffs = [
-                abs(mat[:n_a, k].mean() - mat[n_a:, k].mean()) / scale_map[cat]
-                for k, cat in enumerate(cats)
-                if scale_map[cat] > 0
-            ]
-            obs[name] = max(diffs, default=0.0)
-        exceed[name] = 0
+    cols: list[np.ndarray] = []
+    scales: list[float] = []
+    slots: dict[str, slice] = {}
+    for name, pairs in features.items():
+        slots[name] = slice(len(cols), len(cols) + len(pairs))
+        cols += [column[pool] for column, _ in pairs]
+        scales += [scale for _, scale in pairs]
+    divisor = np.array(scales)
+    diffs = np.array([abs(col[:n_a].mean() - col[n_a:].mean()) for col in cols]) / divisor
+    obs = {name: diffs[slot].max(initial=0.0) for name, slot in slots.items()}
+    total = np.array([col.sum() for col in cols])
+    x = np.column_stack(cols + [np.ones(n)])
+    exceed = dict.fromkeys(features, 0)
 
     block = 2000
     done = 0
     while done < draws:
         b = min(block, draws - done)
-        sel = np.argsort(rng.random((b, n)), axis=1)[:, :n_a]
-        for name in columns:
-            col = pooled_cols[name]
-            if kinds[name] == "continuous":
-                s_a = col[sel].sum(axis=1)
-                total = col.sum()
-                stat = np.abs(s_a / n_a - (total - s_a) / (n - n_a))
-            else:
-                cats, scale_map = scales[name]
-                stats = []
-                for k, cat in enumerate(cats):
-                    if scale_map[cat] <= 0:
-                        continue
-                    s_a = col[:, k][sel].sum(axis=1)
-                    total = col[:, k].sum()
-                    stats.append(np.abs(s_a / n_a - (total - s_a) / (n - n_a)) / scale_map[cat])
-                stat = np.max(stats, axis=0) if stats else np.zeros(b)
-            exceed[name] += int((stat >= obs[name] - 1e-12).sum())
+        s_a = _treated_sums(rng.random((b, n)), n_a, x)[:, :-1]
+        stats = np.abs(s_a / n_a - (total - s_a) / (n - n_a)) / divisor
+        for name, slot in slots.items():
+            exceed[name] += int((stats[:, slot].max(axis=1, initial=0.0) >= obs[name] - 1e-12).sum())
         done += b
-    return {name: (1 + exceed[name]) / (draws + 1) for name in columns}
+    return {name: (1 + exceed[name]) / (draws + 1) for name in features}
 
 
 def _balance_rows(
@@ -730,7 +733,7 @@ def _balance_rows(
     seed: int,
     draws: int,
 ) -> list[BalanceRow]:
-    scales: dict[str, object] = {}
+    features: dict[str, list[tuple[np.ndarray, float]]] = {}
     sds_before: dict[str, float] = {}
     sds_after: dict[str, float] = {}
     notes: dict[str, str] = {}
@@ -739,7 +742,7 @@ def _balance_rows(
         if kinds[name] == "continuous":
             col = np.asarray(columns[name], dtype=np.float64)
             scale = pooled_sd(col, ia_before, ib_before)
-            scales[name] = scale
+            features[name] = [(col, 1.0)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 sds_before[name] = standardized_difference(col, ia_before, ib_before, scale)
@@ -748,28 +751,18 @@ def _balance_rows(
                 notes[name] = "zero pooled SD"
         else:
             labels = np.asarray(columns[name], dtype=object)
-            cats = sorted(set(labels))
-            scale_map = {}
-            for cat in cats:
-                ind = (labels == cat).astype(np.float64)
-                scale_map[cat] = pooled_sd(ind, ia_before, ib_before)
-            scales[name] = (cats, scale_map)
-
-            def max_sd(ia: np.ndarray, ib: np.ndarray) -> float:
-                vals = []
-                for cat in cats:
-                    if scale_map[cat] <= 0:
-                        continue
-                    ind = (labels == cat).astype(np.float64)
-                    vals.append(abs(standardized_difference(ind, ia, ib, scale_map[cat])))
-                return max(vals, default=0.0)
-
-            sds_before[name] = max_sd(ia_before, ib_before)
-            sds_after[name] = max_sd(ia_after, ib_after)
+            indicators = [(labels == cat).astype(np.float64) for cat in sorted(set(labels))]
+            scaled = [(ind, pooled_sd(ind, ia_before, ib_before)) for ind in indicators]
+            features[name] = [(ind, scale) for ind, scale in scaled if scale > 0]
+            sds_before[name], sds_after[name] = [
+                max((abs(standardized_difference(ind, ia, ib, scale))
+                     for ind, scale in features[name]), default=0.0)
+                for ia, ib in ((ia_before, ib_before), (ia_after, ib_after))
+            ]
     seq = np.random.SeedSequence(seed)
     seed_before, seed_after = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-    p_before = _permutation_pvalues(columns, kinds, scales, ia_before, ib_before, seed_before, draws)
-    p_after = _permutation_pvalues(columns, kinds, scales, ia_after, ib_after, seed_after, draws)
+    p_before = _permutation_pvalues(features, ia_before, ib_before, seed_before, draws)
+    p_after = _permutation_pvalues(features, ia_after, ib_after, seed_after, draws)
     return [
         BalanceRow(
             covariate=name,

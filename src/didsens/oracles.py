@@ -222,3 +222,58 @@ def mcnemar_tail_exact(
         return binomial_tail_exact(n_informative, statistic, p, upper=True)
     p = p_lo if direction == "upper" else p_hi
     return binomial_tail_exact(n_informative, statistic, p, upper=False)
+
+
+def permutation_balance_pvalues(
+    columns, kinds, ia, ib, seed: int, draws: int, scale_groups=None
+) -> dict[str, float]:
+    """Two-sample permutation p-values of a balance report, one draw at a time.
+
+    The pooled units are ia followed by ib.  Draw d reads rng.random(n) from
+    default_rng(seed) and takes the units at np.argsort(row)[:len(ia)] as
+    treated.  A continuous covariate's statistic is |mean_a - mean_b|.  A
+    nominal covariate's is the max, over categories whose indicator has a
+    positive pooled SD over scale_groups (default (ia, ib)), of the
+    indicator's |mean_a - mean_b| / that SD; with no such category it is 0.
+    A draw counts when its statistic is >= observed - 1e-12; add-one
+    p-values.
+    """
+
+    def variance(values):
+        if len(values) < 2:
+            return 0.0
+        m = sum(values) / len(values)
+        return sum((v - m) ** 2 for v in values) / (len(values) - 1)
+
+    sa, sb = scale_groups if scale_groups is not None else (ia, ib)
+    pool = [int(i) for i in ia] + [int(i) for i in ib]
+    n_a = len(ia)
+    features = {}
+    for name, column in columns.items():
+        if kinds[name] == "continuous":
+            features[name] = [([float(column[i]) for i in pool], 1.0)]
+            continue
+        features[name] = []
+        for cat in sorted(set(column)):
+            ind = [1.0 if label == cat else 0.0 for label in column]
+            sd = math.sqrt(0.5 * (variance([ind[i] for i in sa]) + variance([ind[i] for i in sb])))
+            if sd > 0:
+                features[name].append(([ind[i] for i in pool], sd))
+
+    def statistic(values, treated):
+        rest = [v for k, v in enumerate(values) if k not in treated]
+        chosen = [values[k] for k in treated]
+        return abs(sum(chosen) / len(chosen) - sum(rest) / len(rest))
+
+    def max_statistic(name, treated):
+        return max((statistic(v, treated) / sd for v, sd in features[name]), default=0.0)
+
+    observed = {name: max_statistic(name, set(range(n_a))) for name in features}
+    exceed = dict.fromkeys(features, 0)
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        treated = set(np.argsort(rng.random(len(pool)))[:n_a].tolist())
+        for name in features:
+            if max_statistic(name, treated) >= observed[name] - 1e-12:
+                exceed[name] += 1
+    return {name: (1 + exceed[name]) / (draws + 1) for name in features}

@@ -5,12 +5,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from didsens import oracles
 from didsens.core import MatchedPair
 from didsens.errors import ConfigError, InfeasibleMatchError, StructuralError
 from didsens.matching import (
     BalanceSpec,
     NominalRule,
+    _balance_rows,
     _rank_mahalanobis,
+    _treated_sums,
     balance_report,
     cross_balance_report,
     cross_period_match,
@@ -337,3 +340,50 @@ def test_cross_balance_report_uses_pair_features():
     assert rep.stage == "cross"
     assert {r.covariate for r in rep.rows} == {"region", "x"}
     assert rep.n_matched == len(quads)
+
+
+@pytest.mark.parametrize("n_a, n_b, draws", [(15, 25, 2300), (1, 19, 400), (19, 1, 400), (8, 30, 400)])
+def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
+    # 2300 draws cross the 2000-draw block boundary; "w" has tied values,
+    # "zone" has a category with zero pooled SD, "const" a single label.
+    g = np.random.default_rng(n_a * 100 + n_b)
+    n = n_a + n_b
+    columns = {
+        "x": g.normal(size=n),
+        "w": np.round(g.normal(size=n), 1),
+        "site": np.array(g.choice(["a", "b", "c"], size=n), dtype=object),
+        "zone": np.array(["v" if i % 2 else "w" for i in range(n_a)] + ["u"] * n_b, dtype=object),
+        "const": np.array(["k"] * n, dtype=object),
+    }
+    kinds = {"x": "continuous", "w": "continuous", "site": "nominal", "zone": "nominal",
+             "const": "nominal"}
+    ia0 = np.arange(n_a)
+    ib0 = np.arange(n_a, n)
+    ia1 = ia0[: max(1, 3 * n_a // 4)]
+    ib1 = ib0[::2]
+    rows = _balance_rows(columns, kinds, ia0, ib0, ia1, ib1, seed=11, draws=draws)
+    s0, s1 = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(11).spawn(2)]
+    ref0 = oracles.permutation_balance_pvalues(columns, kinds, ia0, ib0, s0, draws)
+    ref1 = oracles.permutation_balance_pvalues(
+        columns, kinds, ia1, ib1, s1, draws, scale_groups=(ia0, ib0)
+    )
+    assert {r.covariate: r.p_before for r in rows} == ref0
+    assert {r.covariate: r.p_after for r in rows} == ref1
+    assert ref0["const"] == ref1["const"] == 1.0
+
+
+@pytest.mark.parametrize("n_a", [1, 3, 5])
+def test_treated_sums_select_exactly_n_a_under_ties(n_a):
+    g = np.random.default_rng(n_a)
+    n = 6
+    tied = np.arange(n) / n
+    tied[n_a] = tied[n_a - 1]  # a tie exactly at the n_a-th smallest value
+    r = np.vstack([g.random((4, n)), g.permutation(tied), np.full(n, 0.25)])
+    sums = _treated_sums(r, n_a, np.column_stack([np.eye(n), np.ones(n)]))
+    mask = sums[:, :n]
+    assert set(np.unique(mask)) <= {0.0, 1.0}
+    assert (sums[:, n] == n_a).all() and (mask.sum(axis=1) == n_a).all()
+    for d in range(4):
+        assert set(np.flatnonzero(mask[d])) == set(np.argsort(r[d])[:n_a])
+    for d in (4, 5):
+        assert r[d][mask[d] == 1].max() <= r[d][mask[d] == 0].min()
