@@ -654,16 +654,22 @@ def cross_period_match(
 # balance reporting
 
 
-def _treated_sums(r: np.ndarray, n_a: int, x: np.ndarray) -> np.ndarray:
+# Uniforms per block of permutation draws (512 KiB of float64 per buffer).
+_BLOCK_VALUES = 1 << 16
+
+
+def _treated_sums(r: np.ndarray, n_a: int, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row d: column sums of x over the n_a smallest entries of r[d].
 
-    A linear-time partition selects; its buffer then holds the 0/1 mask, so
-    one matrix product gives every sum.  x's last column must be ones: it
-    counts each row's units, and a row with a tie at its n_a-th value
-    (chance about n * 2**-53 for uniform draws) is selected again with
-    argpartition, so every row takes exactly n_a units.
+    A linear-time partition of a copy of r in mask (a buffer of r's shape)
+    selects; mask then holds the 0/1 selection, so one matrix product gives
+    every sum.  x's last column must be ones: it counts each row's units,
+    and a row with a tie at its n_a-th value (chance about n * 2**-53 for
+    uniform draws) is selected again with argpartition, so every row takes
+    exactly n_a units.
     """
-    mask = np.partition(r, n_a - 1, axis=1)
+    np.copyto(mask, r)
+    mask.partition(n_a - 1, axis=1)
     kth = mask[:, n_a - 1, None].copy()
     np.less_equal(r, kth, out=mask, casting="unsafe")
     sums = mask @ x
@@ -688,10 +694,13 @@ def _permutation_pvalues(
     pair with scale 1 for a continuous covariate, one indicator per
     category with a positive pooled SD for a nominal one; no pair gives 0).
 
-    Draws come in blocks of at most 2000 from default_rng(seed): each block
-    is one rng.random((b, n)) matrix over the pooled units (ia then ib), and
-    draw d's treated set is the n_a smallest entries of row d.  All treated
-    sums of a block come from one matrix product.  Add-one convention.
+    Draws come from default_rng(seed) as one stream of draws x n uniforms
+    over the pooled units (ia then ib), and draw d's treated set is the n_a
+    smallest entries of row d.  The stream is read in blocks of at most
+    _BLOCK_VALUES uniforms, filled into two buffers made once per call, so
+    memory use stays small and does not depend on the allocator's history;
+    the block size does not change the draws.  All treated sums of a block
+    come from one matrix product.  Add-one convention.
     """
     rng = np.random.default_rng(seed)
     pool = np.concatenate([ia, ib])
@@ -711,11 +720,14 @@ def _permutation_pvalues(
     x = np.column_stack(cols + [np.ones(n)])
     exceed = dict.fromkeys(features, 0)
 
-    block = 2000
+    rows = max(1, _BLOCK_VALUES // n)
+    r = np.empty((min(rows, draws), n))
+    mask = np.empty_like(r)
     done = 0
     while done < draws:
-        b = min(block, draws - done)
-        s_a = _treated_sums(rng.random((b, n)), n_a, x)[:, :-1]
+        b = min(rows, draws - done)
+        rng.random(out=r[:b])
+        s_a = _treated_sums(r[:b], n_a, x, mask[:b])[:, :-1]
         stats = np.abs(s_a / n_a - (total - s_a) / (n - n_a)) / divisor
         for name, slot in slots.items():
             exceed[name] += int((stats[:, slot].max(axis=1, initial=0.0) >= obs[name] - 1e-12).sum())

@@ -344,7 +344,7 @@ def test_cross_balance_report_uses_pair_features():
 
 @pytest.mark.parametrize("n_a, n_b, draws", [(15, 25, 2300), (1, 19, 400), (19, 1, 400), (8, 30, 400)])
 def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
-    # 2300 draws cross the 2000-draw block boundary; "w" has tied values,
+    # 2300 draws cross a block boundary (1638 rows at n = 40); "w" has tied values,
     # "zone" has a category with zero pooled SD, "const" a single label.
     g = np.random.default_rng(n_a * 100 + n_b)
     n = n_a + n_b
@@ -379,7 +379,7 @@ def test_treated_sums_select_exactly_n_a_under_ties(n_a):
     tied = np.arange(n) / n
     tied[n_a] = tied[n_a - 1]  # a tie exactly at the n_a-th smallest value
     r = np.vstack([g.random((4, n)), g.permutation(tied), np.full(n, 0.25)])
-    sums = _treated_sums(r, n_a, np.column_stack([np.eye(n), np.ones(n)]))
+    sums = _treated_sums(r, n_a, np.column_stack([np.eye(n), np.ones(n)]), np.empty_like(r))
     mask = sums[:, :n]
     assert set(np.unique(mask)) <= {0.0, 1.0}
     assert (sums[:, n] == n_a).all() and (mask.sum(axis=1) == n_a).all()
