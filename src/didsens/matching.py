@@ -24,6 +24,7 @@ matchings it may not have maximal size or minimal distance.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from collections import Counter
@@ -176,13 +177,6 @@ def _rank_mahalanobis(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 # solver internals
 
 
-def _one_sided_deviation(t_labels: Sequence[str], c_labels: Sequence[str]) -> int:
-    """Sum over categories of max(treated count - control count, 0)."""
-    ct = Counter(t_labels)
-    cc = Counter(c_labels)
-    return sum(max(v - cc.get(cat, 0), 0) for cat, v in ct.items())
-
-
 def _assignment_match(
     dist: np.ndarray,
     feasible: np.ndarray,
@@ -208,7 +202,8 @@ def _assignment_match(
         cost_dist = cost_dist + (dist > caliper) * (1000.0 * (dmax + 1.0))
         dmax = float(cost_dist.max())
 
-    extra_cols: list[tuple[str, object]] = []
+    surplus: dict[tuple, int] = {}
+    n_wild = 0
     if compound_t is not None:
         counts_t = Counter(compound_t)
         counts_c = Counter(compound_c)
@@ -221,24 +216,25 @@ def _assignment_match(
                 f"{counts_t[worst]} treated but {counts_c.get(worst, 0)} controls "
                 f"(total deficit {total_deficit} exceeds budget {budget})"
             )
-        for cat, n in counts_c.items():
-            surplus = n - counts_t.get(cat, 0)
-            extra_cols.extend(("dummy", cat) for _ in range(max(surplus, 0)))
-        extra_cols.extend(("wildcard", None) for _ in range(budget - total_deficit))
+        surplus = {cat: max(n - counts_t.get(cat, 0), 0) for cat, n in counts_c.items()}
+        n_wild = budget - total_deficit
 
-    n_cols = n_t + len(extra_cols)
-    big_m = (n_c + len(extra_cols) + 1) * (dmax + 1.0)
+    n_extra = sum(surplus.values()) + n_wild
+    n_cols = n_t + n_extra
+    big_m = (n_c + n_extra + 1) * (dmax + 1.0)
     eps = (dmax + 1.0) * 1e-6
     cost = np.full((n_c, n_cols), big_m)
     cost[:, :n_t] = np.where(feasible.T, cost_dist.T - big_m, big_m)
-    for j, (kind, cat) in enumerate(extra_cols):
-        col = n_t + j
-        if kind == "wildcard":
-            cost[:, col] = eps
-        else:
-            for i in range(n_c):
-                if compound_c[i] == cat:
-                    cost[i, col] = 0.0
+    # Per control category, its surplus dummy columns (free to its
+    # controls), then the wildcard columns (eps to every control).
+    col = n_t
+    if surplus:
+        code = {cat: k for k, cat in enumerate(surplus)}
+        code_c = np.array([code[cat] for cat in compound_c])
+        for k, n in enumerate(surplus.values()):
+            cost[code_c == k, col:col + n] = 0.0
+            col += n
+    cost[:, col:] = eps
     rows, cols = linear_sum_assignment(cost)
     assigned = {c: r for r, c in zip(rows, cols)}
     pairs: list[tuple[int, int]] = []
@@ -299,6 +295,11 @@ class _StageData:
         self.exact_c = [tuple(r[n] for n in exact) for r in rows_c]
         self.fine_t = {n: [str(r[n]) for r in rows_t] for n in spec.fine_like}
         self.fine_c = {n: [str(r[n]) for r in rows_c] for n in spec.fine_like}
+        # Integer label codes shared by both sides, and the number of labels.
+        self.fine_codes = {}
+        for n in spec.fine_like:
+            labels, codes = np.unique(self.fine_t[n] + self.fine_c[n], return_inverse=True)
+            self.fine_codes[n] = (codes[: len(rows_t)], codes[len(rows_t):], labels.size)
         # Full-sample pooled SDs, fixed once per stage.
         self.scales = {}
         for j, name in enumerate(self.cont_names):
@@ -317,15 +318,6 @@ class _StageData:
         if hard_caliper and self.spec.caliper is not None:
             feas &= self.dist <= self.spec.caliper
         return feas
-
-    def nominal_excesses(self, pairs: list[tuple[int, int]]) -> dict[str, int]:
-        out = {}
-        for name in self.spec.fine_like:
-            t_labels = [self.fine_t[name][t] for t, _ in pairs]
-            c_labels = [self.fine_c[name][c] for _, c in pairs]
-            dev = _one_sided_deviation(t_labels, c_labels)
-            out[name] = dev - self.spec.budget(name)
-        return out
 
     def continuous_excesses(self, pairs: list[tuple[int, int]]) -> dict[str, float]:
         out = {}
@@ -347,91 +339,196 @@ class _StageData:
             out[name] = max(abs(sd) - threshold, 0.0)
         return out
 
-    def satisfied(self, pairs: list[tuple[int, int]]) -> bool:
-        if any(v > 0 for v in self.nominal_excesses(pairs).values()):
-            return False
-        return not any(v > 1e-12 for v in self.continuous_excesses(pairs).values())
+
+# A cap decision from running sums counts only when its margin lies farther
+# than this from 0, in units of max(1, largest |value| / pooled SD) of the
+# covariate; running sums and np.mean differ only in the last bits, far
+# inside the band.  Nearer to 0, or for a covariate with zero pooled SD,
+# _StageData.continuous_excesses on the pair list decides.
+_CAP_GUARD = 1e-9
 
 
-def _repair_and_augment(stage: _StageData, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Remove pairs until all constraints hold, then greedily re-augment."""
+class _Tally:
+    """Constraint state of one pair set, updated one pair at a time.
+
+    Per fine or near-fine covariate: treated and control counts per label
+    code and the one-sided deviation sum(max(count_t - count_c, 0)).  Per
+    finite cap: running treated and control sums and a guard band.  Adding
+    or removing a pair costs O(#constraints).
+    """
+
+    def __init__(self, stage: _StageData, pairs: list[tuple[int, int]]) -> None:
+        spec = stage.spec
+        t_idx = np.array([t for t, _ in pairs], dtype=np.intp)
+        c_idx = np.array([c for _, c in pairs], dtype=np.intp)
+        self.n = len(pairs)
+        self.fine_names = spec.fine_like
+        self.budgets = [spec.budget(name) for name in self.fine_names]
+        self.codes = [stage.fine_codes[name][:2] for name in self.fine_names]
+        self.code_lists = [(ct.tolist(), cc.tolist()) for ct, cc in self.codes]
+        self.count_t, self.count_c, self.dev = [], [], []
+        for name, (code_t, code_c) in zip(self.fine_names, self.codes):
+            k = stage.fine_codes[name][2]
+            ct = np.bincount(code_t[t_idx], minlength=k)
+            cc = np.bincount(code_c[c_idx], minlength=k)
+            self.count_t.append(ct.tolist())
+            self.count_c.append(cc.tolist())
+            self.dev.append(int(np.maximum(ct - cc, 0).sum()))
+        cols, self.caps = [], []  # caps: (threshold, scale, guard)
+        for name, threshold in spec.continuous.items():
+            if math.isfinite(threshold):
+                j = stage.cont_names.index(name)
+                scale = stage.scales[name]
+                top = max(np.abs(stage.x_t[:, j]).max(), np.abs(stage.x_c[:, j]).max())
+                guard = _CAP_GUARD * max(1.0, top / scale) if scale > 0 else math.inf
+                cols.append(j)
+                self.caps.append((threshold, scale or 1.0, guard))
+        self.x_t, self.x_c = stage.x_t[:, cols], stage.x_c[:, cols]
+        self.rows_t, self.rows_c = self.x_t.tolist(), self.x_c.tolist()
+        self.sum_t = self.x_t[t_idx].sum(axis=0).tolist()
+        self.sum_c = self.x_c[c_idx].sum(axis=0).tolist()
+
+    def move(self, t: int, c: int, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) the pair (t, c)."""
+        for i, (code_t, code_c) in enumerate(self.code_lists):
+            lt, lc = code_t[t], code_c[c]
+            ct, cc = self.count_t[i], self.count_c[i]
+            if lt != lc:
+                if sign > 0:
+                    self.dev[i] += (ct[lt] >= cc[lt]) - (ct[lc] > cc[lc])
+                else:
+                    self.dev[i] += (ct[lc] >= cc[lc]) - (ct[lt] > cc[lt])
+            ct[lt] += sign
+            cc[lc] += sign
+        for j, (xt, xc) in enumerate(zip(self.rows_t[t], self.rows_c[c])):
+            self.sum_t[j] += sign * xt
+            self.sum_c[j] += sign * xc
+        self.n += sign
+
+    def nominal_scores(self, violated: list[int], t: np.ndarray, c: np.ndarray):
+        """Per pair: deviation reduction over the violated covariates, and
+        whether any of them labels the pair's two units differently."""
+        reduction = np.zeros(t.size, dtype=np.int64)
+        differs = np.zeros(t.size, dtype=bool)
+        for i in violated:
+            ct, cc = np.array(self.count_t[i]), np.array(self.count_c[i])
+            lt, lc = self.codes[i][0][t], self.codes[i][1][c]
+            d = lt != lc
+            differs |= d
+            reduction += d & (ct[lt] > cc[lt])
+            reduction -= d & (ct[lc] >= cc[lc])
+        return reduction, differs
+
+    def removal_totals(self, t: np.ndarray, c: np.ndarray):
+        """Per pair: the cap excess total with that pair removed, from the
+        running sums; whether every cap's excess is certainly 0; and a bound
+        on how far the total may lie from the exact one."""
+        threshold, scale, guard = (np.array(v).reshape(1, -1) for v in zip(*self.caps))
+        m = self.n - 1
+        sd = ((np.array(self.sum_t) - self.x_t[t]) / m - (np.array(self.sum_c) - self.x_c[c]) / m) / scale
+        margin = np.abs(sd) - threshold
+        return np.maximum(margin, 0.0).sum(axis=1), (margin < -guard).all(axis=1), guard.sum()
+
+    def admits(self, t: int, c: int) -> bool | None:
+        """Whether adding (t, c) keeps every constraint; None when a cap
+        margin lies inside its guard band and no constraint certainly fails."""
+        for i, (code_t, code_c) in enumerate(self.code_lists):
+            lt, lc = code_t[t], code_c[c]
+            if lt != lc:
+                ct, cc = self.count_t[i], self.count_c[i]
+                if self.dev[i] + (ct[lt] >= cc[lt]) - (ct[lc] > cc[lc]) > self.budgets[i]:
+                    return False
+        n = self.n + 1
+        verdict: bool | None = True
+        rows = zip(self.sum_t, self.sum_c, self.rows_t[t], self.rows_c[c], self.caps)
+        for st, sc, xt, xc, (threshold, scale, guard) in rows:
+            margin = abs(((st + xt) / n - (sc + xc) / n) / scale) - threshold - 1e-12
+            if margin > guard:
+                return False
+            if margin >= -guard:
+                verdict = None
+        return verdict
+
+
+def _pick(mask: np.ndarray, score: np.ndarray, dist: np.ndarray) -> int:
+    """First index in mask with the largest score, ties to the largest dist."""
+    best = mask & (score == score[mask].max())
+    best &= dist == dist[best].max()
+    return int(np.flatnonzero(best)[0])
+
+
+def _repair_and_augment(
+    stage: _StageData, pairs: list[tuple[int, int]], feas: np.ndarray
+) -> list[tuple[int, int]]:
+    """Remove pairs until all constraints hold, then greedily re-augment.
+
+    feas is the stage's feasible_matrix(hard_caliper=True).  Nominal
+    repair removes the pair that most reduces the violated deviations
+    (ties: larger distance, then earlier pair); cap repair removes the pair
+    whose removal leaves the smallest cap excess total (same ties).
+    Re-augmentation walks the free feasible edges by (distance, treated,
+    control) and keeps each one that preserves every constraint.
+
+    One _Tally of the current pair set, built once and updated by one pair
+    at a time, decides each check: label counts decide (near-)fine balance
+    exactly, and running sums decide a cap whenever its margin lies outside
+    the _CAP_GUARD band.  Inside the band, or when a capped covariate has
+    zero pooled SD, the exact expression (stage.continuous_excesses on the
+    trial pair list) decides.  Pairs and errors equal those of
+    oracles.repair_and_augment_reference, which recomputes every check from
+    the whole pair list.
+    """
     pairs = sorted(pairs)
+    arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    tally = _Tally(stage, pairs)
     last_binding = None
 
+    def remove(k: int) -> None:
+        nonlocal arr
+        t, c = pairs.pop(k)
+        arr = np.delete(arr, k, axis=0)
+        tally.move(t, c, -1)
+
     def remove_for_nominal() -> None:
-        nonlocal pairs, last_binding
-        names = stage.spec.fine_like
-        if not names:
-            return
-        # Removing one pair shifts two label counts by one, so the deviation
-        # change is an O(1) integer update; recomputing marginals per
-        # candidate would make the repair quadratic in the pair count.
-        count_t = {n: Counter(stage.fine_t[n][t] for t, _ in pairs) for n in names}
-        count_c = {n: Counter(stage.fine_c[n][c] for _, c in pairs) for n in names}
-        dev = {
-            n: sum(max(v - count_c[n][cat], 0) for cat, v in count_t[n].items())
-            for n in names
-        }
+        nonlocal last_binding
         while True:
-            excesses = {n: dev[n] - stage.spec.budget(n) for n in names}
-            violated = [n for n, e in excesses.items() if e > 0]
+            excesses = [d - b for d, b in zip(tally.dev, tally.budgets)]
+            violated = [i for i, e in enumerate(excesses) if e > 0]
             if not violated:
                 return
-            last_binding = max(violated, key=lambda n: excesses[n])
-            best = None
-            for idx, (t, c) in enumerate(pairs):
-                reduction = 0
-                same = True
-                for n in violated:
-                    lt = stage.fine_t[n][t]
-                    lc = stage.fine_c[n][c]
-                    if lt == lc:
-                        continue
-                    same = False
-                    if count_t[n][lt] > count_c[n][lt]:
-                        reduction += 1
-                    if count_t[n][lc] >= count_c[n][lc]:
-                        reduction -= 1
-                if same:
-                    continue
-                key = (-reduction, -stage.dist[t, c], idx)
-                if best is None or key < best[0]:
-                    best = (key, idx)
-            if best is None:
+            last_binding = tally.fine_names[max(violated, key=lambda i: excesses[i])]
+            t, c = arr[:, 0], arr[:, 1]
+            reduction, differs = tally.nominal_scores(violated, t, c)
+            if not differs.any():
                 raise InfeasibleMatchError(
                     f"cannot satisfy fine balance on {last_binding!r}: no removable pair"
                 )
-            t, c = pairs.pop(best[1])
-            for n in names:
-                lt = stage.fine_t[n][t]
-                lc = stage.fine_c[n][c]
-                if lt != lc:
-                    if count_t[n][lt] > count_c[n][lt]:
-                        dev[n] -= 1
-                    if count_t[n][lc] >= count_c[n][lc]:
-                        dev[n] += 1
-                count_t[n][lt] -= 1
-                count_c[n][lc] -= 1
+            remove(_pick(differs, reduction, stage.dist[t, c]))
             if not pairs:
                 raise InfeasibleMatchError(
                     f"fine balance on {last_binding!r} eliminated every pair"
                 )
 
     def remove_one_for_continuous() -> bool:
-        nonlocal pairs, last_binding
+        nonlocal last_binding
         excesses = stage.continuous_excesses(pairs)
         total = sum(excesses.values())
         if total <= 1e-12:
             return False
         last_binding = max(excesses, key=lambda n: excesses[n])
-        best = None
-        for idx, (t, c) in enumerate(pairs):
-            trial = pairs[:idx] + pairs[idx + 1:]
-            trial_total = sum(stage.continuous_excesses(trial).values())
-            key = (trial_total, -stage.dist[t, c], idx)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        pairs.pop(best[1])
+        if len(pairs) == 1:
+            remove(0)
+        else:
+            t, c = arr[:, 0], arr[:, 1]
+            fast, zero, slack = tally.removal_totals(t, c)
+            # Only candidates within twice the slack of the fast minimum can
+            # hold the exact minimum; settle those exactly.
+            near = fast <= fast.min() + 2.0 * slack
+            exact = np.full(len(pairs), math.inf)
+            for k in np.flatnonzero(near & ~zero):
+                exact[k] = sum(stage.continuous_excesses(pairs[:k] + pairs[k + 1:]).values())
+            exact[near & zero] = 0.0
+            remove(_pick(near, -exact, stage.dist[t, c]))
         if not pairs:
             raise InfeasibleMatchError(
                 f"standardized-difference cap on {last_binding!r} eliminated every pair"
@@ -444,29 +541,32 @@ def _repair_and_augment(stage: _StageData, pairs: list[tuple[int, int]]) -> list
             break
 
     # Greedy re-augmentation among dropped units, constraint-preserving.
-    feas = stage.feasible_matrix(hard_caliper=True)
-    used_t = {t for t, _ in pairs}
-    used_c = {c for _, c in pairs}
-    candidates = [
-        (stage.dist[t, c], t, c)
-        for t in range(feas.shape[0])
-        if t not in used_t
-        for c in range(feas.shape[1])
-        if c not in used_c and feas[t, c]
-    ]
-    for _, t, c in sorted(candidates):
-        if t in used_t or c in used_c:
+    used_t = np.zeros(feas.shape[0], dtype=bool)
+    used_c = np.zeros(feas.shape[1], dtype=bool)
+    used_t[arr[:, 0]] = True
+    used_c[arr[:, 1]] = True
+    free_t, free_c = np.flatnonzero(~used_t), np.flatnonzero(~used_c)
+    ti, ci = np.nonzero(feas[np.ix_(free_t, free_c)])
+    ti, ci = free_t[ti], free_c[ci]
+    order = np.lexsort((ci, ti, stage.dist[ti, ci]))
+    used_t, used_c = used_t.tolist(), used_c.tolist()
+    for t, c in zip(ti[order].tolist(), ci[order].tolist()):
+        if used_t[t] or used_c[c]:
             continue
-        trial = sorted(pairs + [(t, c)])
-        if stage.satisfied(trial):
-            pairs = trial
-            used_t.add(t)
-            used_c.add(c)
+        ok = tally.admits(t, c)
+        if ok is None:
+            trial = pairs.copy()
+            bisect.insort(trial, (t, c))
+            ok = not any(v > 1e-12 for v in stage.continuous_excesses(trial).values())
+        if ok:
+            bisect.insort(pairs, (t, c))
+            tally.move(t, c, 1)
+            used_t[t] = used_c[c] = True
     if not pairs:
         raise InfeasibleMatchError(
             f"no pairs satisfy the declared constraints (binding: {last_binding!r})"
         )
-    return sorted(pairs)
+    return pairs
 
 
 def _match_stage(stage: _StageData) -> list[tuple[int, int]]:
@@ -505,7 +605,7 @@ def _match_stage(stage: _StageData) -> list[tuple[int, int]]:
         reason = "caliper" if stage.spec.caliper is not None else "exact matching constraints"
         raise InfeasibleMatchError(f"no admissible treated-control edges (binding: {reason})")
     pairs = _max_cardinality_match(stage.dist, feas)
-    return _repair_and_augment(stage, pairs)
+    return _repair_and_augment(stage, pairs, feas)
 
 
 # ---------------------------------------------------------------------------

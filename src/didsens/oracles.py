@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import InfeasibleMatchError
 
 
 @dataclass(frozen=True)
@@ -277,3 +280,171 @@ def permutation_balance_pvalues(
             if max_statistic(name, treated) >= observed[name] - 1e-12:
                 exceed[name] += 1
     return {name: (1 + exceed[name]) / (draws + 1) for name in features}
+
+
+def repair_and_augment_reference(stage, pairs):
+    """The maximize_pairs constraint repair, every check recomputed from the pair list.
+
+    stage is a matching._StageData (spec, dist, fine_t/fine_c labels, x_t/x_c
+    covariates, scales) and pairs the stage's maximum-cardinality matching.
+    Nominal repair drops the pair that most reduces the violated one-sided
+    deviations (ties: larger distance, then earlier pair); cap repair drops
+    the pair whose removal leaves the smallest cap excess total, evaluating
+    every trial list from scratch; re-augmentation walks the free feasible
+    edges by (distance, treated, control) and keeps each one whose trial
+    list satisfies every constraint, rebuilt with Counters and means over
+    all pairs.  Returns the sorted pairs or raises InfeasibleMatchError.
+    """
+
+    def one_sided_deviation(t_labels, c_labels):
+        """Sum over categories of max(treated count - control count, 0)."""
+        ct = Counter(t_labels)
+        cc = Counter(c_labels)
+        return sum(max(v - cc.get(cat, 0), 0) for cat, v in ct.items())
+
+    def nominal_excesses(pairs):
+        out = {}
+        for name in stage.spec.fine_like:
+            t_labels = [stage.fine_t[name][t] for t, _ in pairs]
+            c_labels = [stage.fine_c[name][c] for _, c in pairs]
+            dev = one_sided_deviation(t_labels, c_labels)
+            out[name] = dev - stage.spec.budget(name)
+        return out
+
+    def continuous_excesses(pairs):
+        out = {}
+        if not pairs:
+            return {name: 0.0 for name in stage.spec.continuous if math.isfinite(stage.spec.continuous[name])}
+        t_idx = np.array([t for t, _ in pairs])
+        c_idx = np.array([c for _, c in pairs])
+        for name, threshold in stage.spec.continuous.items():
+            if not math.isfinite(threshold):
+                continue
+            j = stage.cont_names.index(name)
+            mt = stage.x_t[t_idx, j].mean()
+            mc = stage.x_c[c_idx, j].mean()
+            scale = stage.scales[name]
+            if scale == 0.0:
+                sd = 0.0 if mt == mc else math.inf
+            else:
+                sd = (mt - mc) / scale
+            out[name] = max(abs(sd) - threshold, 0.0)
+        return out
+
+    def satisfied(pairs):
+        if any(v > 0 for v in nominal_excesses(pairs).values()):
+            return False
+        return not any(v > 1e-12 for v in continuous_excesses(pairs).values())
+
+    pairs = sorted(pairs)
+    last_binding = None
+
+    def remove_for_nominal() -> None:
+        nonlocal pairs, last_binding
+        names = stage.spec.fine_like
+        if not names:
+            return
+        # Removing one pair shifts two label counts by one, so the deviation
+        # change is an O(1) integer update; recomputing marginals per
+        # candidate would make the repair quadratic in the pair count.
+        count_t = {n: Counter(stage.fine_t[n][t] for t, _ in pairs) for n in names}
+        count_c = {n: Counter(stage.fine_c[n][c] for _, c in pairs) for n in names}
+        dev = {
+            n: sum(max(v - count_c[n][cat], 0) for cat, v in count_t[n].items())
+            for n in names
+        }
+        while True:
+            excesses = {n: dev[n] - stage.spec.budget(n) for n in names}
+            violated = [n for n, e in excesses.items() if e > 0]
+            if not violated:
+                return
+            last_binding = max(violated, key=lambda n: excesses[n])
+            best = None
+            for idx, (t, c) in enumerate(pairs):
+                reduction = 0
+                same = True
+                for n in violated:
+                    lt = stage.fine_t[n][t]
+                    lc = stage.fine_c[n][c]
+                    if lt == lc:
+                        continue
+                    same = False
+                    if count_t[n][lt] > count_c[n][lt]:
+                        reduction += 1
+                    if count_t[n][lc] >= count_c[n][lc]:
+                        reduction -= 1
+                if same:
+                    continue
+                key = (-reduction, -stage.dist[t, c], idx)
+                if best is None or key < best[0]:
+                    best = (key, idx)
+            if best is None:
+                raise InfeasibleMatchError(
+                    f"cannot satisfy fine balance on {last_binding!r}: no removable pair"
+                )
+            t, c = pairs.pop(best[1])
+            for n in names:
+                lt = stage.fine_t[n][t]
+                lc = stage.fine_c[n][c]
+                if lt != lc:
+                    if count_t[n][lt] > count_c[n][lt]:
+                        dev[n] -= 1
+                    if count_t[n][lc] >= count_c[n][lc]:
+                        dev[n] += 1
+                count_t[n][lt] -= 1
+                count_c[n][lc] -= 1
+            if not pairs:
+                raise InfeasibleMatchError(
+                    f"fine balance on {last_binding!r} eliminated every pair"
+                )
+
+    def remove_one_for_continuous() -> bool:
+        nonlocal pairs, last_binding
+        excesses = continuous_excesses(pairs)
+        total = sum(excesses.values())
+        if total <= 1e-12:
+            return False
+        last_binding = max(excesses, key=lambda n: excesses[n])
+        best = None
+        for idx, (t, c) in enumerate(pairs):
+            trial = pairs[:idx] + pairs[idx + 1:]
+            trial_total = sum(continuous_excesses(trial).values())
+            key = (trial_total, -stage.dist[t, c], idx)
+            if best is None or key < best[0]:
+                best = (key, idx)
+        pairs.pop(best[1])
+        if not pairs:
+            raise InfeasibleMatchError(
+                f"standardized-difference cap on {last_binding!r} eliminated every pair"
+            )
+        return True
+
+    while True:
+        remove_for_nominal()
+        if not remove_one_for_continuous():
+            break
+
+    # Greedy re-augmentation among dropped units, constraint-preserving.
+    feas = stage.feasible_matrix(hard_caliper=True)
+    used_t = {t for t, _ in pairs}
+    used_c = {c for _, c in pairs}
+    candidates = [
+        (stage.dist[t, c], t, c)
+        for t in range(feas.shape[0])
+        if t not in used_t
+        for c in range(feas.shape[1])
+        if c not in used_c and feas[t, c]
+    ]
+    for _, t, c in sorted(candidates):
+        if t in used_t or c in used_c:
+            continue
+        trial = sorted(pairs + [(t, c)])
+        if satisfied(trial):
+            pairs = trial
+            used_t.add(t)
+            used_c.add(c)
+    if not pairs:
+        raise InfeasibleMatchError(
+            f"no pairs satisfy the declared constraints (binding: {last_binding!r})"
+        )
+    return sorted(pairs)

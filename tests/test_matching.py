@@ -11,8 +11,11 @@ from didsens.errors import ConfigError, InfeasibleMatchError, StructuralError
 from didsens.matching import (
     BalanceSpec,
     NominalRule,
+    _StageData,
     _balance_rows,
+    _max_cardinality_match,
     _rank_mahalanobis,
+    _repair_and_augment,
     _treated_sums,
     balance_report,
     cross_balance_report,
@@ -238,6 +241,73 @@ def test_matching_is_deterministic(rng):
     a = within_period_match(records, spec)
     b = within_period_match(records, spec)
     assert [(p.treated.id, p.control.id) for p in a] == [(p.treated.id, p.control.id) for p in b]
+
+
+def _random_repair_stage(seed):
+    """A small stage with random caps, fine/near-fine/exact rules and caliper."""
+    g = np.random.default_rng([seed, 9])
+    n_t, n_c = int(g.integers(2, 41)), int(g.integers(2, 71))
+    # Rounded values tie distances (0 decimals) or give equal means whose
+    # float sums still depend on the order of summation (1 decimal).
+    decimals = g.choice([-1, 0, 1], p=[0.3, 0.2, 0.5])
+    const = g.choice(["none", "same", "differs"], p=[0.75, 0.2, 0.05])
+
+    def rows(n, z):
+        x = g.normal(0.3 * z, 1.0 if decimals < 1 else 0.4, (n, 2))
+        if decimals >= 0:
+            x = np.round(x, decimals)
+        cat = g.choice(list("abcd"), n, p=[0.4, 0.3, 0.2, 0.1] if z else None)
+        cat2 = g.choice(list("uvw"), n)
+        flag = g.choice(["y", "n"], n, p=[0.7, 0.3])
+        k = 0.2 if const == "differs" and z else 0.1
+        return [{"x1": float(a), "x2": float(b), "k": k, "cat": str(c), "cat2": str(d),
+                 "flag": str(f)} for (a, b), c, d, f in zip(x, cat, cat2, flag)]
+
+    rows_t, rows_c = rows(n_t, 1), rows(n_c, 0)
+    kinds = {"x1": "continuous", "x2": "continuous", "k": "continuous",
+             "cat": "nominal", "cat2": "nominal", "flag": "nominal"}
+    caps = {"x1": float(g.uniform(0.02, 0.3)),
+            "x2": math.inf if g.random() < 0.3 else float(g.uniform(0.02, 0.3))}
+    if const != "none":
+        caps["k"] = float(g.uniform(0.02, 0.3))
+    rules = [NominalRule("fine"), NominalRule("near_fine", k=1), NominalRule("near_fine", k=2)]
+    nominal = {}
+    for name, pick in (("cat", g.integers(4)), ("cat2", g.integers(3))):
+        if pick < 3 and g.random() < 0.8:
+            nominal[name] = rules[pick]
+    if g.random() < 0.5:
+        nominal["flag"] = NominalRule("exact")
+    caliper = float(g.uniform(0.5, 2.5)) if g.random() < 0.3 else None
+    stage = _StageData(rows_t, rows_c, kinds, BalanceSpec(caps, nominal, caliper))
+    feas = stage.feasible_matrix(hard_caliper=True)
+    start = _max_cardinality_match(stage.dist, feas)
+    if start and g.random() < 0.5:
+        # Cap x1 at the starting pairs' own |std diff| less 1e-12: the
+        # repair then meets trials right at the cap's boundary.
+        t, c = np.array(start).T
+        j = stage.cont_names.index("x1")
+        sd = (stage.x_t[t, j].mean() - stage.x_c[c, j].mean()) / stage.scales["x1"]
+        if abs(sd) > 0.01:
+            caps["x1"] = abs(sd) - 1e-12
+            stage = _StageData(rows_t, rows_c, kinds, BalanceSpec(caps, nominal, caliper))
+    return stage, feas, start
+
+
+def test_repair_equals_recompute_everything_reference():
+    outcomes = Counter()
+    for seed in range(240):
+        stage, feas, start = _random_repair_stage(seed)
+        results = []
+        for repair, args in ((_repair_and_augment, (feas,)),
+                             (oracles.repair_and_augment_reference, ())):
+            try:
+                results.append(repair(stage, list(start), *args))
+            except InfeasibleMatchError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], f"stage seed {seed}"
+        got = results[0]
+        outcomes["error" if isinstance(got, str) else "kept" if got == sorted(start) else "changed"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def _pair(i, period, region, x_t, x_c, y_t=0.0, y_c=0.0):
