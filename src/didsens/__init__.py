@@ -36,14 +36,11 @@ from .errors import (
     StructuralError,
 )
 from .inference import (
-    EstimateResult,
     ScoreFunction,
     TestResult,
     hodges_lehmann,
     invert_ci,
-    point_and_interval,
     randomization_pvalue,
-    sign_score_statistic,
 )
 from .kernels import BACKEND as KERNEL_BACKEND
 from .matching import (
@@ -60,13 +57,6 @@ from .matching import (
     pooled_sd,
     standardized_difference,
     within_period_match,
-)
-from .oracles import (
-    ExactNullDistribution,
-    binomial_tail_exact,
-    brute_force_bound,
-    exact_null_distribution,
-    mcnemar_tail_exact,
 )
 from .sensitivity import (
     SignProbabilityBounds,
@@ -108,8 +98,6 @@ __all__ = [
     "DidsensError",
     "EligibilityReport",
     "EligibleQuadruple",
-    "EstimateResult",
-    "ExactNullDistribution",
     "InfeasibleMatchError",
     "KERNEL_BACKEND",
     "MatchedPair",
@@ -128,8 +116,6 @@ __all__ = [
     "amplify_paired",
     "balance_report",
     "binary_two_param_bounds",
-    "binomial_tail_exact",
-    "brute_force_bound",
     "build_quadruple",
     "changepoint_gamma",
     "cross_balance_report",
@@ -139,7 +125,6 @@ __all__ = [
     "eligibility_report",
     "eligible_quadruples",
     "estimate_bounds",
-    "exact_null_distribution",
     "generate_binary",
     "generate_continuous",
     "hodges_lehmann",
@@ -147,16 +132,13 @@ __all__ = [
     "level_power_study",
     "mcnemar_sensitivity_pvalue",
     "mcnemar_statistic",
-    "mcnemar_tail_exact",
     "one_param_bounds",
     "paired_gamma_from",
     "pair_summaries",
-    "point_and_interval",
     "pooled_sd",
     "quadruples_from_records",
     "randomization_pvalue",
     "sate_pvalue",
-    "sign_score_statistic",
     "standardized_difference",
     "two_param_bounds",
     "validate_dataset",

@@ -15,8 +15,8 @@ from scipy.stats import binom
 
 from .core import Quadruple, QuadrupleSet
 from .errors import DegenerateDataError, StructuralError
-from .inference import TestResult, _check_sided
-from .sensitivity import SignProbabilityBounds, two_param_bounds
+from .inference import TestResult, _sided_pvalue
+from .sensitivity import SignProbabilityBounds, _tilt, two_param_bounds
 
 
 @dataclass(frozen=True)
@@ -102,33 +102,14 @@ def mcnemar_sensitivity_pvalue(
 
     At gamma = 1 this is the exact McNemar-style randomization test.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    if direction not in ("upper", "lower"):
-        raise ValueError("direction must be 'upper' or 'lower'")
-    _check_sided(sided)
+    p_greater_tail, p_less_tail = _tilt(gamma, direction)
     n = len(eligible)
     if n == 0:
         raise DegenerateDataError("no eligible quadruples; the binary design carries no information")
     t = mcnemar_statistic(eligible)
-    g2 = gamma * gamma
-    p_hi = g2 / (1.0 + g2)
-    p_lo = 1.0 / (1.0 + g2)
-
-    def tail_greater(p: float) -> float:
-        return float(binom.sf(t - 1, n, p))
-
-    def tail_less(p: float) -> float:
-        return float(binom.cdf(t, n, p))
-
-    if sided == "one_sided_greater":
-        p_val = tail_greater(p_hi if direction == "upper" else p_lo)
-    elif sided == "one_sided_less":
-        p_val = tail_less(p_lo if direction == "upper" else p_hi)
-    elif direction == "upper":
-        p_val = min(1.0, 2.0 * min(tail_greater(p_hi), tail_less(p_lo)))
-    else:
-        p_val = min(1.0, 2.0 * min(tail_greater(p_lo), tail_less(p_hi)))
+    p_val = _sided_pvalue(
+        lambda: float(binom.sf(t - 1, n, p_greater_tail)), lambda: float(binom.cdf(t, n, p_less_tail)), sided
+    )
     return TestResult(
         statistic=float(t),
         p_value=min(p_val, 1.0),

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import yaml
 
-from .binary import eligibility_report, mcnemar_sensitivity_pvalue
+from .binary import eligibility_report
 from .core import MatchedPair, QuadrupleSet, UnitRecord, build_quadruple, validate_dataset
 from .errors import ConfigError, DataError, DidsensError, InfeasibleMatchError
-from .inference import ScoreFunction, hodges_lehmann, invert_ci, randomization_pvalue
+from .inference import hodges_lehmann, invert_ci, randomization_pvalue
 from .matching import (
     BalanceSpec,
     NominalRule,
@@ -37,18 +37,18 @@ from .matching import (
 )
 from .patterns import write_pattern_svgs
 from .sensitivity import (
-    _changepoint_search,
+    SCORE_TESTS,
+    TESTS,
     amplify_did,
     amplify_paired,
     changepoint_gamma,
     estimate_bounds,
-    sate_pvalue,
-    worst_case_pvalue,
+    score_for,
+    upper_pvalues,
 )
 from .simulate import AnalysisPlan, BinaryDesign, ContinuousDesign, level_power_study
 
 SCHEMA_VERSION = 1
-TESTS = ("signed_rank", "permutational_t", "sate", "mcnemar")
 OUTCOME_KINDS = ("continuous", "binary")
 ROLES = ("continuous", "nominal")
 
@@ -460,13 +460,12 @@ def cmd_match(cfg: AnalysisConfig) -> int:
     spec = _balance_spec(cfg)
     pre = [r for r in records if r.period == 1]
     post = [r for r in records if r.period == 2]
-    pre_pairs = within_period_match(pre, spec, seed=cfg.seed)
-    post_pairs = within_period_match(post, spec, seed=cfg.seed)
+    pre_pairs = within_period_match(pre, spec)
+    post_pairs = within_period_match(post, spec)
     quads, details = cross_period_match(
         pre_pairs,
         post_pairs,
         spec,
-        seed=cfg.seed,
         outcome_kind=cfg.outcome_kind,
         pair_spec=spec,
         return_details=True,
@@ -503,10 +502,6 @@ def _check_kind_test(cfg: AnalysisConfig) -> None:
         raise ConfigError("test mcnemar requires outcome.kind: binary")
 
 
-def _score_for(cfg: AnalysisConfig) -> ScoreFunction:
-    return ScoreFunction.wilcoxon() if cfg.test == "signed_rank" else ScoreFunction.absolute_value()
-
-
 def _eligibility_or_error(quads: QuadrupleSet):
     rep = eligibility_report(quads)
     if not rep.eligible:
@@ -534,16 +529,16 @@ def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
         if cfg.tau0 != 0.0:
             raise ConfigError("binary tests address the sharp null; tau0 must be 0")
         elig = _eligibility_or_error(quads)
-        res = mcnemar_sensitivity_pvalue(list(elig.eligible), gamma=1.0, sided=cfg.sided)
         report["eligibility"] = {
             "n_total": elig.n_total,
             "n_eligible": len(elig.eligible),
             "reasons": dict(sorted(elig.reasons.items())),
         }
-    elif cfg.test == "sate":
-        res = sate_pvalue(quads, tau0=cfg.tau0, gamma=1.0, sided=cfg.sided)
+    rank_test = cfg.test in SCORE_TESTS
+    if rank_test:
+        res = randomization_pvalue(quads, tau0=cfg.tau0, score=score_for(cfg.test), sided=cfg.sided)
     else:
-        res = randomization_pvalue(quads, tau0=cfg.tau0, score=_score_for(cfg), sided=cfg.sided)
+        res = upper_pvalues(quads, cfg.test, cfg.tau0, cfg.sided)(1.0)
     report.update(
         {
             "statistic": res.statistic,
@@ -552,9 +547,8 @@ def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
             "n_effective": res.n_effective,
         }
     )
-    if cfg.outcome_kind == "continuous" and cfg.test in ("signed_rank", "permutational_t"):
-        score = _score_for(cfg)
-        lo, hi = invert_ci(quads, alpha=cfg.alpha, score=score)
+    if rank_test:
+        lo, hi = invert_ci(quads, alpha=cfg.alpha, score=score_for(cfg.test))
         report["hl_estimate"] = hodges_lehmann(quads)
         report["ci"] = {"lower": _json_num(lo), "upper": _json_num(hi), "alpha": cfg.alpha}
     outdir = Path(cfg.output_dir)
@@ -603,40 +597,27 @@ def _amplification_rows(gamma: float, lambdas) -> list[dict]:
 def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
     _check_kind_test(cfg)
     quads = read_quadruples_csv(quad_path, cfg.outcome_kind)
-    binary = cfg.outcome_kind == "binary"
-    if binary and cfg.tau0 != 0.0:
-        raise ConfigError("binary tests address the sharp null; tau0 must be 0")
-    elig = _eligibility_or_error(quads) if binary else None
-    score = None if binary or cfg.test == "sate" else _score_for(cfg)
+    if cfg.outcome_kind == "binary":
+        if cfg.tau0 != 0.0:
+            raise ConfigError("binary tests address the sharp null; tau0 must be 0")
+        _eligibility_or_error(quads)
+    rank_test = cfg.test in SCORE_TESTS
+    pvalue = upper_pvalues(quads, cfg.test, cfg.tau0, cfg.sided)
     grid = []
     for gamma in cfg.gammas:
-        if binary:
-            res = mcnemar_sensitivity_pvalue(list(elig.eligible), gamma=gamma, sided=cfg.sided)
-            bounds = (None, None)
-        elif cfg.test == "sate":
-            res = sate_pvalue(quads, tau0=cfg.tau0, gamma=gamma, sided=cfg.sided)
-            bounds = (None, None)
-        else:
-            res = worst_case_pvalue(quads, tau0=cfg.tau0, score=score, gamma=gamma, sided=cfg.sided)
-            bounds = estimate_bounds(quads, gamma=gamma, score=score)
+        res = pvalue(gamma)
+        lo, hi = estimate_bounds(quads, gamma=gamma, score=score_for(cfg.test)) if rank_test else (None, None)
         grid.append(
             {
                 "gamma": gamma,
                 "gamma_squared": gamma * gamma,
                 "p_upper": res.p_value,
-                "bound_lower": _json_num(bounds[0]) if bounds[0] is not None else None,
-                "bound_upper": _json_num(bounds[1]) if bounds[1] is not None else None,
+                "bound_lower": _json_num(lo),
+                "bound_upper": _json_num(hi),
                 "amplification": _amplification_rows(gamma, cfg.amplification_lambdas),
             }
         )
-    if binary or cfg.test != "sate":
-        cp = changepoint_gamma(quads, tau0=cfg.tau0, score=score, alpha=cfg.alpha, sided=cfg.sided)
-    else:
-
-        def sate_p(g: float) -> float:
-            return sate_pvalue(quads, tau0=cfg.tau0, gamma=g, sided=cfg.sided).p_value
-
-        cp = _changepoint_search(sate_p, cfg.alpha, 1e-4)
+    cp = changepoint_gamma(quads, tau0=cfg.tau0, test=cfg.test, alpha=cfg.alpha, sided=cfg.sided)
     if cp is None:
         changepoint = None
     else:
@@ -662,12 +643,12 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
     _write_json_report(outdir / "sens_report.json", report)
     print(f"sensitivity analysis: {cfg.test} ({cfg.sided}), n = {report['n_quadruples']}")
     header = "gamma    gamma^2  p_upper"
-    if not binary and cfg.test != "sate":
+    if rank_test:
         header += "  est_lower  est_upper"
     print(header)
     for row in grid:
         line = f"{row['gamma']:<8.4g} {row['gamma_squared']:<8.4g} {_sig4(row['p_upper'])}"
-        if not binary and cfg.test != "sate":
+        if rank_test:
             line += f"    {_sig4(row['bound_lower'])}      {_sig4(row['bound_upper'])}"
         print(line)
     if changepoint is None:

@@ -100,22 +100,17 @@ def did_contrast(pre: MatchedPair, post: MatchedPair) -> float:
 class Quadruple:
     """A matched period-1 pair and period-2 pair with derived contrasts.
 
-    With the treated unit stored first in both pairs, the assignment
-    contrast ``v`` and the cross-period agreement flag ``b`` are +1 by
-    convention; ``d = s * a`` always holds.
+    ``d = s * a`` always holds: s is the sign of the contrast, a its
+    magnitude.
     """
 
     pre: MatchedPair
     post: MatchedPair
     d: float
-    v: int = 1
-    b: int = 1
     s: int = 0
     a: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.v not in (-1, 1) or self.b not in (-1, 1):
-            raise StructuralError("v and b must be -1 or +1")
         if self.s not in (-1, 0, 1):
             raise StructuralError("s must be -1, 0, or +1")
         if self.a < 0:
@@ -132,7 +127,7 @@ def build_quadruple(pre: MatchedPair, post: MatchedPair) -> Quadruple:
     """Assemble a quadruple, deriving d, sign, and magnitude."""
     d = did_contrast(pre, post)
     s = int(np.sign(d))
-    return Quadruple(pre=pre, post=post, d=d, v=1, b=1, s=s, a=abs(d))
+    return Quadruple(pre=pre, post=post, d=d, s=s, a=abs(d))
 
 
 @dataclass(frozen=True)

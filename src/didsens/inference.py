@@ -10,7 +10,6 @@ probability, powers the sensitivity module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.stats import norm, rankdata
@@ -36,7 +35,6 @@ class ScoreFunction:
     """
 
     kind: str
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     @staticmethod
     def wilcoxon() -> "ScoreFunction":
@@ -47,10 +45,6 @@ class ScoreFunction:
     def absolute_value() -> "ScoreFunction":
         """Identity scores; the statistic is a permutational t variant."""
         return ScoreFunction(kind="absolute_value")
-
-    @staticmethod
-    def custom(fn: Callable[[np.ndarray], np.ndarray], name: str = "custom") -> "ScoreFunction":
-        return ScoreFunction(kind=name, fn=fn)
 
     def scores(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -64,16 +58,7 @@ class ScoreFunction:
             return q
         if self.kind == "absolute_value":
             return a.copy()
-        if self.fn is None:
-            raise ValueError(f"score function {self.kind!r} has no callable")
-        q = np.asarray(self.fn(a), dtype=np.float64)
-        if q.shape != a.shape:
-            raise ValueError("custom score function changed the vector length")
-        if np.any(q < 0):
-            raise ValueError("custom scores must be nonnegative")
-        if np.any(q[a == 0] != 0):
-            raise ValueError("custom scores must vanish at zero magnitudes")
-        return q
+        raise ValueError(f"unknown score kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -98,33 +83,19 @@ class TestResult:
             raise ValueError(f"sided must be one of {SIDES}")
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """A point estimate together with a confidence interval."""
+def _sided_pvalue(greater, less, sided: str) -> float:
+    """Combine the two tails by the sided rule; each tail is a thunk.
 
-    point: float
-    interval: tuple[float, float]
-    alpha: float
-    method: str
-
-
-def _check_sided(sided: str) -> None:
+    Two-sided doubles the smaller tail and caps at 1.  The greater tail is
+    always evaluated first, so engines with a memo see one call order.
+    """
     if sided not in SIDES:
         raise ValueError(f"sided must be one of {SIDES}, got {sided!r}")
-
-
-def _adjusted(d: np.ndarray, tau0: float, score: ScoreFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and scores of d - tau0."""
-    shifted = d - tau0
-    s = np.sign(shifted)
-    q = score.scores(np.abs(shifted))
-    return s, q
-
-
-def sign_score_statistic(quads: QuadrupleSet, tau0: float, score: ScoreFunction) -> float:
-    """Positive-sign score sum of the adjusted contrasts d - tau0."""
-    s, q = _adjusted(quads.d_values(), tau0, score)
-    return float(q[s > 0].sum())
+    if sided == "one_sided_greater":
+        return greater()
+    if sided == "one_sided_less":
+        return less()
+    return min(1.0, 2.0 * min(greater(), less()))
 
 
 def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
@@ -220,21 +191,21 @@ def _signscore_pvalue(
     are 0.5 for the randomization test).  Returns (statistic, p, route,
     n_effective).
     """
-    _check_sided(sided)
-    s, q = _adjusted(d, tau0, score)
-    t_obs = float(q[s > 0].sum())
+    shifted = d - tau0
+    q = score.scores(np.abs(shifted))
+    t_obs = float(q[shifted > 0].sum())
     q_active = q[q > 0]
     if q_active.size == 0:
         raise DegenerateDataError("all adjusted contrasts are zero; no sign information")
-    if sided == "one_sided_greater":
-        p, route = _tail_pvalue(q_active, t_obs, p_greater_tail, greater=True)
-    elif sided == "one_sided_less":
-        p, route = _tail_pvalue(q_active, t_obs, p_less_tail, greater=False)
-    else:
-        p_g, route = _tail_pvalue(q_active, t_obs, p_greater_tail, greater=True)
-        p_l, _ = _tail_pvalue(q_active, t_obs, p_less_tail, greater=False)
-        p = min(1.0, 2.0 * min(p_g, p_l))
-    return t_obs, p, route, int(q_active.size)
+    routes = []
+
+    def tail(p_plus: float, greater: bool) -> float:
+        p, route = _tail_pvalue(q_active, t_obs, p_plus, greater)
+        routes.append(route)
+        return p
+
+    p = _sided_pvalue(lambda: tail(p_greater_tail, True), lambda: tail(p_less_tail, False), sided)
+    return t_obs, p, routes[0], int(q_active.size)
 
 
 def randomization_pvalue(
@@ -276,15 +247,25 @@ def hodges_lehmann(quads: QuadrupleSet) -> float:
     return float(np.median((d[i] + d[j]) / 2.0))
 
 
-def _bisect_boundary(predicate, lo: float, hi: float, tol: float) -> float:
-    """Boundary of a monotone predicate: False at lo, True at hi."""
+def _bisect(predicate, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Bracket of width <= tol around the boundary of a monotone predicate.
+
+    The predicate is False at lo and True at hi; both ends keep that
+    property while the bracket is halved.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _search_span(d: np.ndarray) -> tuple[float, float]:
+    """Shifts far enough outside the contrasts to bracket any boundary in tau."""
+    span = float(d.max() - d.min()) + 1.0
+    return float(d.min()) - span, float(d.max()) + span
 
 
 def invert_ci(
@@ -314,25 +295,9 @@ def invert_ci(
         except DegenerateDataError:
             return 1.0
 
-    span = float(d.max() - d.min()) + 1.0
-    lo0 = float(d.min()) - span
-    hi0 = float(d.max()) + span
+    lo0, hi0 = _search_span(d)
     center = hodges_lehmann(quads)
-    lower = -np.inf if p_two(lo0) > alpha else _bisect_boundary(lambda t: p_two(t) > alpha, lo0, center, tol)
-    upper = np.inf if p_two(hi0) > alpha else -_bisect_boundary(lambda t: p_two(-t) > alpha, -hi0, -center, tol)
+    lower = -np.inf if p_two(lo0) > alpha else 0.5 * sum(_bisect(lambda t: p_two(t) > alpha, lo0, center, tol))
+    upper = np.inf if p_two(hi0) > alpha else -0.5 * sum(_bisect(lambda t: p_two(-t) > alpha, -hi0, -center, tol))
     return (lower, upper)
 
-
-def point_and_interval(
-    quads: QuadrupleSet,
-    alpha: float = 0.05,
-    score: ScoreFunction | None = None,
-) -> EstimateResult:
-    """Convenience bundle: Hodges-Lehmann point plus inverted-test interval."""
-    score = score or ScoreFunction.wilcoxon()
-    return EstimateResult(
-        point=hodges_lehmann(quads),
-        interval=invert_ci(quads, alpha=alpha, score=score),
-        alpha=alpha,
-        method=f"hodges_lehmann+invert_ci:{score.kind}",
-    )

@@ -619,13 +619,10 @@ def _covariate_kinds(records: Sequence[UnitRecord]) -> dict[str, str]:
     return dict(report.covariate_kinds)
 
 
-def within_period_match(
-    records: Sequence[UnitRecord], spec: BalanceSpec, seed: int | None = None
-) -> list[MatchedPair]:
+def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> list[MatchedPair]:
     """Pair treated to control units from one period under a BalanceSpec.
 
-    The solver itself is deterministic; the seed is accepted for interface
-    symmetry with the reporting helpers and is currently unused.
+    The solver is deterministic.
     """
     records = list(records)
     if not records:
@@ -708,7 +705,6 @@ def cross_period_match(
     pre_pairs: Sequence[MatchedPair],
     post_pairs: Sequence[MatchedPair],
     spec: BalanceSpec,
-    seed: int | None = None,
     outcome_kind: str = "continuous",
     pair_spec: BalanceSpec | None = None,
     return_details: bool = False,

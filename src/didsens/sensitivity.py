@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
@@ -23,13 +24,16 @@ from .errors import DegenerateDataError
 from .inference import (
     ScoreFunction,
     TestResult,
-    _bisect_boundary,
+    _bisect,
+    _search_span,
+    _sided_pvalue,
     _signscore_pvalue,
-    hodges_lehmann,
 )
-from .oracles import brute_force_bound
 
 DIRECTIONS = ("upper", "lower")
+# Sign-score tests, which also give a shift estimate, an interval and estimate bounds.
+SCORE_TESTS = ("signed_rank", "permutational_t")
+TESTS = SCORE_TESTS + ("sate", "mcnemar")
 
 
 def _check_direction(direction: str) -> None:
@@ -66,6 +70,8 @@ def two_param_bounds(lam: float, delta: float, aligned: bool = False) -> SignPro
     if lam < 1 or delta < 1:
         raise ValueError("lam and delta must be >= 1")
     if aligned:
+        from .oracles import brute_force_bound
+
         lo = brute_force_bound(lam, delta, objective="min", aligned=True).value
         hi = brute_force_bound(lam, delta, objective="max", aligned=True).value
         return SignProbabilityBounds(lower=lo, upper=hi, lam=lam, delta=delta, aligned=True)
@@ -86,6 +92,17 @@ def one_param_bounds(gamma: float) -> tuple[float, float]:
         raise ValueError("gamma must be >= 1")
     g2 = gamma * gamma
     return (1.0 / (1.0 + g2), g2 / (1.0 + g2))
+
+
+def _tilt(gamma: float, direction: str) -> tuple[float, float]:
+    """Sign probabilities for the (greater, less) tails at cap gamma.
+
+    The worst case ("upper") puts the largest sign probability on the
+    greater tail and the smallest on the less tail; "lower" swaps them.
+    """
+    p_lo, p_hi = one_param_bounds(gamma)
+    _check_direction(direction)
+    return (p_hi, p_lo) if direction == "upper" else (p_lo, p_hi)
 
 
 def did_gamma_from(lam: float, delta: float) -> float:
@@ -161,17 +178,8 @@ def worst_case_pvalue(
     the two one-sided worst cases (conservative); two-sided lower bounds
     are exact.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    _check_direction(direction)
+    p_greater_tail, p_less_tail = _tilt(gamma, direction)
     score = score or ScoreFunction.wilcoxon()
-    p_lo, p_hi = one_param_bounds(gamma)
-    if direction == "upper":
-        # Worst case per tail: the greater tail is largest at the largest
-        # sign probability, the less tail at the smallest.
-        p_greater_tail, p_less_tail = p_hi, p_lo
-    else:
-        p_greater_tail, p_less_tail = p_lo, p_hi
     t_obs, p, route, n_eff = _signscore_pvalue(
         quads.d_values(), tau0, score, p_greater_tail, p_less_tail, sided
     )
@@ -182,63 +190,6 @@ def worst_case_pvalue(
         method=f"{score.kind}:{route}:gamma={gamma:g}:{direction}",
         n_effective=n_eff,
     )
-
-
-def changepoint_gamma(
-    quads: QuadrupleSet,
-    tau0: float = 0.0,
-    score: ScoreFunction | None = None,
-    alpha: float = 0.05,
-    sided: str = "one_sided_greater",
-    tol: float = 1e-4,
-) -> float | None:
-    """Largest gamma at which the worst-case p-value still meets alpha.
-
-    Returns None when the test already fails at gamma = 1 (there is no
-    significance to lose).  Binary-outcome sets route through the exact
-    binomial machinery.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if quads.outcome_kind == "binary":
-        if tau0 != 0.0:
-            raise ValueError("binary designs test the sharp null; tau0 must be 0")
-        from .binary import eligible_quadruples, mcnemar_sensitivity_pvalue
-
-        eligible = eligible_quadruples(quads)
-
-        def pval(g: float) -> float:
-            return mcnemar_sensitivity_pvalue(eligible, gamma=g, direction="upper", sided=sided).p_value
-
-    else:
-
-        def pval(g: float) -> float:
-            return worst_case_pvalue(quads, tau0, score, g, "upper", sided).p_value
-
-    return _changepoint_search(pval, alpha, tol)
-
-
-def _changepoint_search(pval, alpha: float, tol: float) -> float | None:
-    """Largest gamma with pval(gamma) <= alpha, for a nondecreasing pval.
-
-    Doubles gamma from 1 to bracket the crossing, then bisects to `tol`.
-    None when pval(1) > alpha; inf when the bracket passes 1e6.
-    """
-    if pval(1.0) > alpha:
-        return None
-    lo, hi = 1.0, 2.0
-    while pval(hi) <= alpha:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            return math.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pval(mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _solve_score_equation(d: np.ndarray, score: ScoreFunction, p_target: float, tol: float) -> float:
@@ -256,11 +207,9 @@ def _solve_score_equation(d: np.ndarray, score: ScoreFunction, p_target: float, 
             return 0.0
         return float(q[s > 0].sum() - p_target * total)
 
-    span = float(d.max() - d.min()) + 1.0
-    lo0 = float(d.min()) - span
-    hi0 = float(d.max()) + span
-    b_hi = _bisect_boundary(lambda t: gap(t) <= 0, lo0, hi0, tol)
-    b_lo = _bisect_boundary(lambda t: gap(t) < 0, lo0, hi0, tol)
+    lo0, hi0 = _search_span(d)
+    b_hi = 0.5 * sum(_bisect(lambda t: gap(t) <= 0, lo0, hi0, tol))
+    b_lo = 0.5 * sum(_bisect(lambda t: gap(t) < 0, lo0, hi0, tol))
     return 0.5 * (b_lo + b_hi)
 
 
@@ -369,19 +318,14 @@ def sate_pvalue(
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     _check_direction(direction)
-    if sided not in ("one_sided_greater", "one_sided_less", "two_sided"):
-        raise ValueError(f"invalid sided {sided!r}")
     a = quads.d_values() - tau0
     if a.size < 2:
         raise DegenerateDataError("the studentized procedure needs at least 2 quadruples")
     g2 = gamma * gamma
     kappa = (g2 - 1.0) / (g2 + 1.0)
-    if sided == "one_sided_greater":
-        p = _sate_upper_tail(a, kappa, direction)
-    elif sided == "one_sided_less":
-        p = _sate_upper_tail(-a, kappa, direction)
-    else:
-        p = min(1.0, 2.0 * min(_sate_upper_tail(a, kappa, direction), _sate_upper_tail(-a, kappa, direction)))
+    p = _sided_pvalue(
+        lambda: _sate_upper_tail(a, kappa, direction), lambda: _sate_upper_tail(-a, kappa, direction), sided
+    )
     statistic = float(a.mean() / (a.std(ddof=1) / math.sqrt(a.size))) if a.std(ddof=1) > 0 else 0.0
     return TestResult(
         statistic=statistic,
@@ -390,3 +334,71 @@ def sate_pvalue(
         method=f"sate:normal:gamma={gamma:g}:{direction}",
         n_effective=int(a.size),
     )
+
+
+def score_for(test: str) -> ScoreFunction:
+    """Score function of a test name: absolute values for permutational_t, else ranks."""
+    return ScoreFunction.absolute_value() if test == "permutational_t" else ScoreFunction.wilcoxon()
+
+
+def upper_pvalues(
+    quads: QuadrupleSet,
+    test: str,
+    tau0: float = 0.0,
+    sided: str = "one_sided_greater",
+) -> Callable[[float], TestResult]:
+    """Worst-case (upper) p-value of the named test, as a function of gamma.
+
+    The one place a test name picks its engine: the sign-score tests run
+    `worst_case_pvalue` with `score_for(test)`, sate runs `sate_pvalue` and
+    mcnemar runs the exact binomial bound on the eligible quadruples.  The
+    score, or the eligible quadruples, are fixed once for every gamma.
+    """
+    if test not in TESTS:
+        raise ValueError(f"test must be one of {TESTS}, got {test!r}")
+    if test == "mcnemar":
+        if tau0 != 0.0:
+            raise ValueError("binary designs test the sharp null; tau0 must be 0")
+        from .binary import eligible_quadruples, mcnemar_sensitivity_pvalue
+
+        eligible = eligible_quadruples(quads)
+        return lambda gamma: mcnemar_sensitivity_pvalue(eligible, gamma, "upper", sided)
+    if test == "sate":
+        return lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided)
+    score = score_for(test)
+    return lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided)
+
+
+def changepoint_gamma(
+    quads: QuadrupleSet,
+    tau0: float = 0.0,
+    test: str | None = None,
+    alpha: float = 0.05,
+    sided: str = "one_sided_greater",
+    tol: float = 1e-4,
+) -> float | None:
+    """Largest gamma at which the worst-case p-value of `test` still meets alpha.
+
+    test defaults to mcnemar for binary sets and signed_rank otherwise.
+    Doubles gamma from 1 to bracket the crossing, then bisects to `tol`.
+    Returns None when the test already fails at gamma = 1 (there is no
+    significance to lose), inf when the bracket passes 1e6.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if test is None:
+        test = "mcnemar" if quads.outcome_kind == "binary" else "signed_rank"
+    pvalue = upper_pvalues(quads, test, tau0, sided)
+
+    def lost(gamma: float) -> bool:
+        return pvalue(gamma).p_value > alpha
+
+    if lost(1.0):
+        return None
+    lo, hi = 1.0, 2.0
+    while not lost(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > 1e6:
+            return math.inf
+    return _bisect(lost, lo, hi, tol)[0]

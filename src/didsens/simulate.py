@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .binary import eligible_quadruples, mcnemar_sensitivity_pvalue
+from .binary import eligible_quadruples
 from .core import MatchedPair, QuadrupleSet, UnitRecord, build_quadruple
 from .errors import StructuralError
-from .inference import ScoreFunction, hodges_lehmann
-from .sensitivity import estimate_bounds, changepoint_gamma, sate_pvalue, worst_case_pvalue
+from .inference import hodges_lehmann
+from .sensitivity import TESTS, changepoint_gamma, estimate_bounds, score_for, upper_pvalues
 
 RESIDUALS = ("normal", "lognormal")
 U_DISTS = ("bernoulli", "uniform")
@@ -234,12 +234,12 @@ def quadruples_from_records(records: list[UnitRecord], outcome_kind: str = "cont
 class AnalysisPlan:
     """What to run on each replication.
 
-    test is one of "signed_rank", "permutational_t", "sate", "mcnemar".
-    Worst-case (upper) p-values are computed at `gamma`.  estimate_gamma,
-    when set, also computes estimate bounds at that cap and records
-    whether they cover the design's true effect.  mcnemar_budget, when
-    set, analyzes only the first that many informative quadruples, fixing
-    the effective sample size across replications.
+    test is one of `sensitivity.TESTS`.  Worst-case (upper) p-values are
+    computed at `gamma`.  estimate_gamma, when set, also computes estimate
+    bounds at that cap, with the test's score, and records whether they
+    cover the design's true effect.  mcnemar_budget, when set, narrows each
+    replication to its first that many informative quadruples before any
+    analysis runs, fixing the effective sample size across replications.
     """
 
     test: str = "signed_rank"
@@ -253,8 +253,10 @@ class AnalysisPlan:
     mcnemar_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.test not in ("signed_rank", "permutational_t", "sate", "mcnemar"):
+        if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}")
+        if self.test == "mcnemar" and self.tau0 != 0.0:
+            raise ValueError("mcnemar tests the sharp null; tau0 must be 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.mcnemar_budget is not None and self.mcnemar_budget < 1:
@@ -272,28 +274,22 @@ class StudyResult:
 def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> dict:
     if plan.test == "mcnemar":
         eligible = eligible_quadruples(quads)
-        if plan.mcnemar_budget is not None:
-            eligible = eligible[: plan.mcnemar_budget]
         if not eligible:
             return {"statistic": np.nan, "p_value": 1.0, "n_effective": 0}
-        res = mcnemar_sensitivity_pvalue(eligible, gamma=plan.gamma, direction="upper", sided=plan.sided)
-    elif plan.test == "sate":
-        res = sate_pvalue(quads, tau0=plan.tau0, gamma=plan.gamma, direction="upper", sided=plan.sided)
-    else:
-        score = ScoreFunction.wilcoxon() if plan.test == "signed_rank" else ScoreFunction.absolute_value()
-        res = worst_case_pvalue(
-            quads, tau0=plan.tau0, score=score, gamma=plan.gamma, direction="upper", sided=plan.sided
-        )
+        if plan.mcnemar_budget is not None:
+            kept = tuple(e.quad for e in eligible[: plan.mcnemar_budget])
+            quads = QuadrupleSet(quads=kept, outcome_kind=quads.outcome_kind)
+    res = upper_pvalues(quads, plan.test, plan.tau0, plan.sided)(plan.gamma)
     row = {"statistic": res.statistic, "p_value": res.p_value, "n_effective": res.n_effective}
     if plan.compute_hl:
         row["hl"] = hodges_lehmann(quads)
     if plan.estimate_gamma is not None:
-        lo, hi = estimate_bounds(quads, gamma=plan.estimate_gamma)
+        lo, hi = estimate_bounds(quads, gamma=plan.estimate_gamma, score=score_for(plan.test))
         row["bound_lower"] = lo
         row["bound_upper"] = hi
         row["covered"] = int(lo - 1e-9 <= true_tau <= hi + 1e-9)
     if plan.compute_changepoint:
-        cp = changepoint_gamma(quads, tau0=plan.tau0, alpha=plan.alpha, sided=plan.sided)
+        cp = changepoint_gamma(quads, tau0=plan.tau0, test=plan.test, alpha=plan.alpha, sided=plan.sided)
         row["changepoint"] = np.nan if cp is None else cp
     return row
 

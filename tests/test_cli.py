@@ -10,6 +10,7 @@ import yaml
 
 from didsens import cli
 from didsens.cli import read_quadruples_csv
+from didsens.sensitivity import changepoint_gamma, sate_pvalue
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -153,6 +154,21 @@ def test_sens_gamma_override(matched):
     assert [row["gamma"] for row in report["grid"]] == [1.1, 1.5]
 
 
+def test_sate_sens_changepoint_brackets_alpha(matched):
+    config, out = matched
+    assert cli.main(["sens", "--config", str(config), "--test", "sate"]) == 0
+    report = json.loads((out / "sens_report.json").read_text())
+    _validate(report)
+    quads = read_quadruples_csv(str(out / "quadruples.csv"), "continuous")
+    gamma = report["changepoint"]["gamma"]
+
+    def p_at(g):
+        return sate_pvalue(quads, gamma=g).p_value
+
+    assert p_at(gamma) <= 0.05 < p_at(gamma + 1.01e-4)
+    assert changepoint_gamma(quads, test="sate") == gamma
+
+
 def test_amplify_command_values(tmp_path, capsys):
     json_path = tmp_path / "amp.json"
     assert cli.main(["amplify", "--gamma", "2", "--lambdas", "3", "--json", str(json_path)]) == 0
@@ -238,6 +254,22 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert rows[0][0] == "rep"
     assert rows[-1][0] == "summary"
     assert len(rows) == 1 + 4 + 1
+
+
+def test_simulate_mcnemar_with_tau0_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml", tmp_path / "unused.csv", out,
+        simulate={
+            "design": "binary",
+            "reps": 3,
+            "params": {"n_quadruples": 50},
+            "plan": {"test": "mcnemar", "tau0": 0.5},
+        },
+    )
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    assert "tau0" in capsys.readouterr().err
+    assert not (out / "simulation.csv").exists()
 
 
 def _write_binary_quadruples(path, n_pos, n_neg, n_flat=0):

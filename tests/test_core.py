@@ -54,7 +54,6 @@ def test_build_quadruple_derives_sign_and_magnitude():
     assert q.d == -2.5
     assert q.s == -1
     assert q.a == 2.5
-    assert q.v == 1 and q.b == 1
     z = quad_from_d(1, 0.0)
     assert z.s == 0 and z.a == 0.0
 

@@ -136,6 +136,26 @@ def test_mcnemar_budget_pins_the_effective_size():
     assert all(row["n_effective"] == 20 for row in res.rows)
 
 
+@pytest.mark.parametrize(
+    "design, plan, seed",
+    [
+        (ContinuousDesign(n_quadruples=30, tau=0.4, residual="lognormal"),
+         AnalysisPlan(test="sate", compute_changepoint=True), 1),
+        (ContinuousDesign(n_quadruples=30, tau=0.4, residual="lognormal"),
+         AnalysisPlan(test="permutational_t", compute_changepoint=True), 1),
+        (BinaryDesign(n_quadruples=600, tau_logit=0.5),
+         AnalysisPlan(test="mcnemar", mcnemar_budget=40, compute_changepoint=True), 0),
+    ],
+    ids=["sate", "permutational_t", "mcnemar_budget"],
+)
+def test_changepoint_exists_exactly_when_the_test_rejects(design, plan, seed):
+    # at gamma = 1 the p-value and the changepoint come from one test on the
+    # same quadruples, so a changepoint (finite or inf) exists iff p <= alpha
+    res = level_power_study(design, plan, reps=10, seed=seed)
+    for row in res.rows:
+        assert (row["p_value"] <= plan.alpha) == (not math.isnan(row["changepoint"]))
+
+
 def test_plan_and_study_validation():
     with pytest.raises(ValueError):
         AnalysisPlan(test="t_test")
