@@ -10,7 +10,6 @@ generators for validating all of it.
 
 from .binary import (
     EligibilityReport,
-    EligibleQuadruple,
     binary_two_param_bounds,
     eligibility_report,
     eligible_quadruples,
@@ -19,12 +18,9 @@ from .binary import (
 )
 from .core import (
     MatchedPair,
-    Quadruple,
     QuadrupleSet,
     UnitRecord,
     ValidationReport,
-    build_quadruple,
-    did_contrast,
     validate_dataset,
 )
 from .errors import (
@@ -97,13 +93,11 @@ __all__ = [
     "DegenerateDataError",
     "DidsensError",
     "EligibilityReport",
-    "EligibleQuadruple",
     "InfeasibleMatchError",
     "KERNEL_BACKEND",
     "MatchedPair",
     "NominalRule",
     "PairSummary",
-    "Quadruple",
     "QuadrupleSet",
     "ScoreFunction",
     "SignProbabilityBounds",
@@ -116,11 +110,9 @@ __all__ = [
     "amplify_paired",
     "balance_report",
     "binary_two_param_bounds",
-    "build_quadruple",
     "changepoint_gamma",
     "cross_balance_report",
     "cross_period_match",
-    "did_contrast",
     "did_gamma_from",
     "eligibility_report",
     "eligible_quadruples",

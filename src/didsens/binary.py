@@ -13,25 +13,10 @@ from dataclasses import dataclass
 
 from scipy.stats import binom
 
-from .core import Quadruple, QuadrupleSet
+from .core import QuadrupleSet
 from .errors import DegenerateDataError, StructuralError
 from .inference import TestResult, _sided_pvalue
 from .sensitivity import SignProbabilityBounds, _tilt, two_param_bounds
-
-
-@dataclass(frozen=True)
-class EligibleQuadruple:
-    """An informative binary quadruple and its sign s = d/2."""
-
-    quad: Quadruple
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.s not in (-1, 1):
-            raise StructuralError("eligible quadruples have sign -1 or +1")
-
-
-_REASONS = ("pre_concordant", "post_concordant", "same_direction")
 
 
 @dataclass(frozen=True)
@@ -42,58 +27,49 @@ class EligibilityReport:
     conditions increments each.
     """
 
-    eligible: tuple[EligibleQuadruple, ...]
+    eligible: QuadrupleSet
     n_total: int
     n_ineligible: int
     reasons: dict[str, int]
 
 
-def _check_binary(quads: QuadrupleSet) -> None:
-    if quads.outcome_kind != "binary":
-        raise StructuralError("eligibility filtering requires outcome_kind='binary'")
-    for quad in quads:
-        for rec in (quad.pre.treated, quad.pre.control, quad.post.treated, quad.post.control):
-            if rec.outcome not in (0, 1):
-                raise StructuralError(f"record {rec.id!r}: binary outcome must be 0 or 1")
-
-
 def eligibility_report(quads: QuadrupleSet) -> EligibilityReport:
     """Filter to informative quadruples, preserving input order."""
-    _check_binary(quads)
-    eligible: list[EligibleQuadruple] = []
-    reasons = dict.fromkeys(_REASONS, 0)
-    n_bad = 0
-    for quad in quads:
-        pre_disc = quad.pre.treated.outcome != quad.pre.control.outcome
-        post_disc = quad.post.treated.outcome != quad.post.control.outcome
-        opposite = quad.pre.treated.outcome + quad.post.treated.outcome == 1
-        if pre_disc and post_disc and opposite:
-            eligible.append(EligibleQuadruple(quad=quad, s=int(quad.d / 2)))
-            continue
-        n_bad += 1
-        if not pre_disc:
-            reasons["pre_concordant"] += 1
-        if not post_disc:
-            reasons["post_concordant"] += 1
-        if pre_disc and post_disc and not opposite:
-            reasons["same_direction"] += 1
+    if quads.outcome_kind != "binary":
+        raise StructuralError("eligibility filtering requires outcome_kind='binary'")
+    y = quads.outcomes
+    not_binary = (y != 0) & (y != 1)
+    if not_binary.any():
+        raise StructuralError(f"record {str(quads.ids[not_binary][0])!r}: binary outcome must be 0 or 1")
+    pre_disc = y[:, 0] != y[:, 1]
+    post_disc = y[:, 2] != y[:, 3]
+    opposite = y[:, 0] + y[:, 2] == 1
+    eligible = pre_disc & post_disc & opposite
+    reasons = {
+        "pre_concordant": int((~pre_disc).sum()),
+        "post_concordant": int((~post_disc).sum()),
+        "same_direction": int((pre_disc & post_disc & ~opposite).sum()),
+    }
     return EligibilityReport(
-        eligible=tuple(eligible), n_total=len(quads), n_ineligible=n_bad, reasons=reasons
+        eligible=quads.subset(eligible),
+        n_total=len(quads),
+        n_ineligible=int((~eligible).sum()),
+        reasons=reasons,
     )
 
 
-def eligible_quadruples(quads: QuadrupleSet) -> list[EligibleQuadruple]:
+def eligible_quadruples(quads: QuadrupleSet) -> QuadrupleSet:
     """The informative quadruples: both pairs discordant, in opposite ways."""
-    return list(eligibility_report(quads).eligible)
+    return eligibility_report(quads).eligible
 
 
-def mcnemar_statistic(eligible: list[EligibleQuadruple]) -> int:
-    """Count of positive signs among the eligible quadruples."""
-    return sum(1 for e in eligible if e.s == 1)
+def mcnemar_statistic(eligible: QuadrupleSet) -> int:
+    """Count of positive contrasts (d = +2) among the eligible quadruples."""
+    return int((eligible.d_values() > 0).sum())
 
 
 def mcnemar_sensitivity_pvalue(
-    eligible: list[EligibleQuadruple],
+    eligible: QuadrupleSet,
     gamma: float = 1.0,
     direction: str = "upper",
     sided: str = "one_sided_greater",

@@ -24,7 +24,7 @@ from pathlib import Path
 import yaml
 
 from .binary import eligibility_report
-from .core import MatchedPair, QuadrupleSet, UnitRecord, build_quadruple, validate_dataset
+from .core import SLOTS, MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
 from .errors import ConfigError, DataError, DidsensError, InfeasibleMatchError
 from .inference import hodges_lehmann, invert_ci, randomization_pvalue
 from .matching import (
@@ -329,34 +329,13 @@ def _write_pairs_csv(path: Path, pairs: list[MatchedPair]) -> None:
 
 
 def _write_quadruples_csv(path: Path, quads: QuadrupleSet) -> None:
-    header = [
-        "quad",
-        "pre_treated_id",
-        "pre_control_id",
-        "post_treated_id",
-        "post_control_id",
-        "pre_treated_outcome",
-        "pre_control_outcome",
-        "post_treated_outcome",
-        "post_control_outcome",
-        "d",
-    ]
-    rows = []
-    for i, q in enumerate(quads):
-        rows.append(
-            [
-                i,
-                q.pre.treated.id,
-                q.pre.control.id,
-                q.post.treated.id,
-                q.post.control.id,
-                repr(float(q.pre.treated.outcome)),
-                repr(float(q.pre.control.outcome)),
-                repr(float(q.post.treated.outcome)),
-                repr(float(q.post.control.outcome)),
-                repr(float(q.d)),
-            ]
+    header = ["quad", *(f"{slot}_id" for slot in SLOTS), *(f"{slot}_outcome" for slot in SLOTS), "d"]
+    rows = [
+        [i, *ids, *map(repr, outcomes), repr(d)]
+        for i, (ids, outcomes, d) in enumerate(
+            zip(quads.ids.tolist(), quads.outcomes.tolist(), quads.d_values().tolist())
         )
+    ]
     _write_csv(path, header, rows)
 
 
@@ -398,36 +377,21 @@ def read_quadruples_csv(path: str, outcome_kind: str) -> QuadrupleSet:
     p = Path(path)
     if not p.exists():
         raise DataError(f"quadruples file not found: {path}")
-    quads = []
+    id_columns = [f"{slot}_id" for slot in SLOTS]
+    outcome_columns = [f"{slot}_outcome" for slot in SLOTS]
+    ids, outcomes = [], []
     with p.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        _require_columns(
-            reader.fieldnames,
-            ["pre_treated_id", "pre_control_id", "post_treated_id", "post_control_id",
-             "pre_treated_outcome", "pre_control_outcome", "post_treated_outcome",
-             "post_control_outcome"],
-            path,
-        )
+        _require_columns(reader.fieldnames, id_columns + outcome_columns, path)
         for lineno, row in enumerate(reader, start=2):
             try:
-                members = {
-                    key: float(row[f"{key}_outcome"]) for key in
-                    ("pre_treated", "pre_control", "post_treated", "post_control")
-                }
+                outcomes.append([float(row[col]) for col in outcome_columns])
             except (TypeError, ValueError):
                 raise DataError(f"line {lineno}: outcome values must be numbers") from None
-            pre = MatchedPair(
-                treated=UnitRecord(row["pre_treated_id"], 1, 1, members["pre_treated"], {}),
-                control=UnitRecord(row["pre_control_id"], 1, 0, members["pre_control"], {}),
-            )
-            post = MatchedPair(
-                treated=UnitRecord(row["post_treated_id"], 2, 1, members["post_treated"], {}),
-                control=UnitRecord(row["post_control_id"], 2, 0, members["post_control"], {}),
-            )
-            quads.append(build_quadruple(pre, post))
-    if not quads:
+            ids.append([row[col] for col in id_columns])
+    if not ids:
         raise DataError(f"{path}: no quadruples")
-    return QuadrupleSet(quads=tuple(quads), outcome_kind=outcome_kind)
+    return QuadrupleSet(ids, outcomes, outcome_kind)
 
 
 def _write_json_report(path: Path, report: dict) -> None:
@@ -486,7 +450,7 @@ def cmd_match(cfg: AnalysisConfig) -> int:
     _write_balance_csv(outdir / "balance.csv", reports)
     print(f"period 1: {len(pre_pairs)} pairs from {len(pre)} records")
     print(f"period 2: {len(post_pairs)} pairs from {len(post)} records")
-    print(f"quadruples: {len(quads.quads)}")
+    print(f"quadruples: {len(quads)}")
     for rep in reports:
         finite = [abs(r.std_diff_after) for r in rep.rows if math.isfinite(r.std_diff_after)]
         worst = max(finite) if finite else float("nan")
@@ -523,7 +487,7 @@ def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
         "test": cfg.test,
         "sided": cfg.sided,
         "tau0": cfg.tau0,
-        "n_quadruples": len(quads.quads),
+        "n_quadruples": len(quads),
     }
     if cfg.outcome_kind == "binary":
         if cfg.tau0 != 0.0:
@@ -634,7 +598,7 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
         "sided": cfg.sided,
         "tau0": cfg.tau0,
         "alpha": cfg.alpha,
-        "n_quadruples": len(quads.quads),
+        "n_quadruples": len(quads),
         "grid": grid,
         "changepoint": changepoint,
     }

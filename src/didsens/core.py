@@ -3,13 +3,14 @@
 A study unit is observed in a single period with a binary group flag and an
 outcome.  Within-period matching yields treated-control pairs; matching a
 period-1 pair to a period-2 pair yields a quadruple, the unit of inference
-for the difference-in-differences contrast.
+for the difference-in-differences contrast.  A QuadrupleSet stores its
+quadruples as columns: unit ids and outcomes by slot, and the contrasts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -80,83 +81,81 @@ class MatchedPair:
         return self.treated.outcome - self.control.outcome
 
 
-def did_contrast(pre: MatchedPair, post: MatchedPair) -> float:
-    """Difference-in-differences contrast of a period-1 and a period-2 pair.
-
-    Returns (treated - control in period 2) - (treated - control in period 1).
-    """
-    if pre.period != 1:
-        raise StructuralError(
-            f"pre pair ({pre.treated.id!r}, {pre.control.id!r}) is from period {pre.period}, expected 1"
-        )
-    if post.period != 2:
-        raise StructuralError(
-            f"post pair ({post.treated.id!r}, {post.control.id!r}) is from period {post.period}, expected 2"
-        )
-    return post.outcome_diff - pre.outcome_diff
+SLOTS = ("pre_treated", "pre_control", "post_treated", "post_control")
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    """A matched period-1 pair and period-2 pair with derived contrasts.
-
-    ``d = s * a`` always holds: s is the sign of the contrast, a its
-    magnitude.
-    """
-
-    pre: MatchedPair
-    post: MatchedPair
-    d: float
-    s: int = 0
-    a: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.s not in (-1, 0, 1):
-            raise StructuralError("s must be -1, 0, or +1")
-        if self.a < 0:
-            raise StructuralError("a must be nonnegative")
-        if abs(self.s * self.a - self.d) > 1e-12 * max(1.0, abs(self.d)):
-            raise StructuralError("inconsistent quadruple: s * a != d")
-
-    @property
-    def unit_ids(self) -> tuple[str, str, str, str]:
-        return (self.pre.treated.id, self.pre.control.id, self.post.treated.id, self.post.control.id)
+def _quad_rows(values, dtype) -> np.ndarray:
+    """A read-only (n, 4) copy of values; an empty input gives n = 0."""
+    rows = np.array(values, dtype=dtype)
+    if rows.size == 0:
+        rows = rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise StructuralError(f"quadruple arrays must have shape (n, 4), got {rows.shape}")
+    rows.flags.writeable = False
+    return rows
 
 
-def build_quadruple(pre: MatchedPair, post: MatchedPair) -> Quadruple:
-    """Assemble a quadruple, deriving d, sign, and magnitude."""
-    d = did_contrast(pre, post)
-    s = int(np.sign(d))
-    return Quadruple(pre=pre, post=post, d=d, s=s, a=abs(d))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadrupleSet:
-    """An ordered collection of quadruples over disjoint units."""
+    """Quadruples over disjoint units, one row per quadruple.
 
-    quads: tuple[Quadruple, ...]
+    ids and outcomes are (n, 4) arrays whose columns follow SLOTS; d holds
+    each row's contrast (post treated - post control) - (pre treated - pre
+    control).  All three are read-only.
+    """
+
+    ids: np.ndarray
+    outcomes: np.ndarray
     outcome_kind: str = "continuous"
+    d: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.outcome_kind not in VALID_OUTCOME_KINDS:
             raise StructuralError(
                 f"outcome_kind must be one of {VALID_OUTCOME_KINDS}, got {self.outcome_kind!r}"
             )
-        seen: set[str] = set()
-        for quad in self.quads:
-            for uid in quad.unit_ids:
-                if uid in seen:
-                    raise StructuralError(f"unit {uid!r} appears in more than one slot")
-                seen.add(uid)
+        ids = _quad_rows(self.ids, str)
+        y = _quad_rows(self.outcomes, np.float64)
+        if ids.shape != y.shape:
+            raise StructuralError(f"{ids.shape[0]} id rows but {y.shape[0]} outcome rows")
+        units, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")
+        d = (y[:, 2] - y[:, 3]) - (y[:, 0] - y[:, 1])
+        d.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "outcomes", y)
+        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def from_pairs(
+        cls, pre: Sequence[MatchedPair], post: Sequence[MatchedPair], outcome_kind: str = "continuous"
+    ) -> QuadrupleSet:
+        """Join pre[k], a period-1 pair, and post[k], a period-2 pair, into row k."""
+        units = []
+        for a, b in zip(pre, post, strict=True):
+            for side, pair, period in (("pre", a, 1), ("post", b, 2)):
+                if pair.period != period:
+                    raise StructuralError(
+                        f"{side} pair ({pair.treated.id!r}, {pair.control.id!r}) "
+                        f"is from period {pair.period}, expected {period}"
+                    )
+            units.append((a.treated, a.control, b.treated, b.control))
+        return cls(
+            ids=[[u.id for u in row] for row in units],
+            outcomes=[[u.outcome for u in row] for row in units],
+            outcome_kind=outcome_kind,
+        )
 
     def __len__(self) -> int:
-        return len(self.quads)
-
-    def __iter__(self) -> Iterator[Quadruple]:
-        return iter(self.quads)
+        return self.d.size
 
     def d_values(self) -> np.ndarray:
-        return np.array([q.d for q in self.quads], dtype=np.float64)
+        return self.d
+
+    def subset(self, rows) -> QuadrupleSet:
+        """The quadruples at rows (indices, a boolean mask or a slice), in that order."""
+        return QuadrupleSet(self.ids[rows], self.outcomes[rows], self.outcome_kind)
 
 
 @dataclass(frozen=True)

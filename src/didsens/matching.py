@@ -36,7 +36,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from .core import MatchedPair, QuadrupleSet, UnitRecord, build_quadruple, validate_dataset
+from .core import MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
 from .errors import ConfigError, InfeasibleMatchError, StructuralError
 
 OBJECTIVES = ("maximize_pairs", "minimize_total_distance")
@@ -734,8 +734,9 @@ def cross_period_match(
     index_pairs = _match_stage(stage)
     if swap:
         index_pairs = sorted((b, a) for a, b in index_pairs)
-    quads = tuple(build_quadruple(pre_pairs[i], post_pairs[j]) for i, j in index_pairs)
-    quad_set = QuadrupleSet(quads=quads, outcome_kind=outcome_kind)
+    quad_set = QuadrupleSet.from_pairs(
+        [pre_pairs[i] for i, _ in index_pairs], [post_pairs[j] for _, j in index_pairs], outcome_kind
+    )
     if return_details:
         details = CrossMatchDetails(
             pre_summaries=tuple(pre_sum),

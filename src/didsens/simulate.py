@@ -11,8 +11,8 @@ The continuous generator works on the observed scale.  Fixed effects and
 period shifts cancel exactly in the contrast; what remains is the
 treatment effect plus a residual contrast whose sign the hidden trait may
 tilt.  The generator draws that latent contrast, retilts only its sign,
-and reconstructs one post-period residual so the emitted records remain
-ordinary unit records.  The binary generator needs no such device: the
+and reconstructs one post-period residual so the emitted outcomes remain
+ordinary per-unit outcomes.  The binary generator needs no such device: the
 hidden trait sits directly in the outcome logit.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .binary import eligible_quadruples
-from .core import MatchedPair, QuadrupleSet, UnitRecord, build_quadruple
+from .core import QuadrupleSet
 from .errors import StructuralError
 from .inference import hodges_lehmann
 from .sensitivity import TESTS, changepoint_gamma, estimate_bounds, score_for, upper_pvalues
@@ -123,25 +123,12 @@ def _slot_z(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return z
 
 
-def _emit_records(z: np.ndarray, outcomes: np.ndarray) -> list[UnitRecord]:
-    records: list[UnitRecord] = []
-    for i in range(z.shape[0]):
-        for t in (0, 1):
-            for j, member in enumerate("ab"):
-                records.append(
-                    UnitRecord(
-                        id=f"q{i:05d}-p{t + 1}-{member}",
-                        period=t + 1,
-                        z=int(z[i, t, j]),
-                        outcome=float(outcomes[i, t, j]),
-                        covariates={},
-                    )
-                )
-    return records
+def generate_continuous(design: ContinuousDesign, seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (z, outcomes) from the continuous model.
 
-
-def generate_continuous(design: ContinuousDesign, seed=None) -> list[UnitRecord]:
-    """Draw 4 * n_quadruples unit records from the continuous model."""
+    Both arrays are (n_quadruples, 2, 2), indexed by quadruple, period and
+    member; z is 1 for the member treated in that period.
+    """
     rng = _rng(seed)
     n = design.n_quadruples
     mu = rng.normal(0.0, design.mu_sd, n)
@@ -175,11 +162,11 @@ def generate_continuous(design: ContinuousDesign, seed=None) -> list[UnitRecord]
         + eps
         + post * (alpha[:, None, None] + tau_units[:, None, :] * z)
     )
-    return _emit_records(z, outcomes)
+    return z, outcomes
 
 
-def generate_binary(design: BinaryDesign, seed=None) -> list[UnitRecord]:
-    """Draw 4 * n_quadruples unit records from the binary logit model."""
+def generate_binary(design: BinaryDesign, seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (z, outcomes) from the binary logit model, shaped as in generate_continuous."""
     rng = _rng(seed)
     n = design.n_quadruples
     mu = rng.normal(design.mu_mean, design.mu_sd, n)
@@ -200,34 +187,36 @@ def generate_binary(design: BinaryDesign, seed=None) -> list[UnitRecord]:
         + post * (alpha[:, None, None] + design.tau_logit * z)
     )
     outcomes = (rng.random((n, 2, 2)) < expit(logits)).astype(np.float64)
-    return _emit_records(z, outcomes)
+    return z, outcomes
 
 
-def quadruples_from_records(records: list[UnitRecord], outcome_kind: str = "continuous") -> QuadrupleSet:
-    """Reassemble generator output (ids "<quad>-p<period>-<member>") into quadruples."""
-    groups: dict[str, list[UnitRecord]] = {}
-    order: list[str] = []
-    for rec in records:
-        key = rec.id.split("-p")[0]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
-    quads = []
-    for key in order:
-        members = groups[key]
-        if len(members) != 4:
-            raise StructuralError(f"quadruple {key!r} has {len(members)} records, expected 4")
-        pairs = {}
-        for period in (1, 2):
-            in_period = [r for r in members if r.period == period]
-            treated = [r for r in in_period if r.z == 1]
-            control = [r for r in in_period if r.z == 0]
-            if len(treated) != 1 or len(control) != 1:
-                raise StructuralError(f"quadruple {key!r} period {period} is not a treated-control pair")
-            pairs[period] = MatchedPair(treated=treated[0], control=control[0])
-        quads.append(build_quadruple(pairs[1], pairs[2]))
-    return QuadrupleSet(quads=tuple(quads), outcome_kind=outcome_kind)
+def quadruples_from_records(
+    units: tuple[np.ndarray, np.ndarray], outcome_kind: str = "continuous"
+) -> QuadrupleSet:
+    """Place generator output (z, outcomes) into quadruple slots.
+
+    Member j of quadruple i in period t gets the unit id
+    "q{i:05d}-p{t}-{a|b}"; each period's treated member fills the treated
+    slot of that period.
+    """
+    z, outcomes = (np.asarray(a) for a in units)
+    if z.ndim != 3 or z.shape[1:] != (2, 2) or outcomes.shape != z.shape:
+        raise StructuralError(
+            f"expected (n, 2, 2) treatment and outcome arrays, got {z.shape} and {outcomes.shape}"
+        )
+    bad = np.argwhere((z.min(axis=2) != 0) | (z.max(axis=2) != 1))
+    if bad.size:
+        i, t = bad[0]
+        raise StructuralError(f"quadruple 'q{i:05d}' period {t + 1} is not a treated-control pair")
+    n = z.shape[0]
+    # With one treated member per period, 1 - z lists (treated, control) member indices.
+    slot_member = 1 - z.astype(np.intp)
+    ids = np.array([f"q{i:05d}-p{t}-{m}" for i in range(n) for t in (1, 2) for m in "ab"]).reshape(n, 2, 2)
+    return QuadrupleSet(
+        ids=np.take_along_axis(ids, slot_member, axis=2).reshape(n, 4),
+        outcomes=np.take_along_axis(outcomes, slot_member, axis=2).reshape(n, 4),
+        outcome_kind=outcome_kind,
+    )
 
 
 @dataclass(frozen=True)
@@ -271,14 +260,29 @@ class StudyResult:
     summary: dict
 
 
+def _uninformative_row(plan: AnalysisPlan) -> dict:
+    """Row of a McNemar replication with no informative quadruple.
+
+    Its p-value is 1, so it has no changepoint; it has no estimate or
+    bounds either, and covers nothing.
+    """
+    row = {"statistic": np.nan, "p_value": 1.0, "n_effective": 0}
+    if plan.compute_hl:
+        row["hl"] = np.nan
+    if plan.estimate_gamma is not None:
+        row.update(bound_lower=np.nan, bound_upper=np.nan, covered=0)
+    if plan.compute_changepoint:
+        row["changepoint"] = np.nan
+    return row
+
+
 def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> dict:
     if plan.test == "mcnemar":
         eligible = eligible_quadruples(quads)
         if not eligible:
-            return {"statistic": np.nan, "p_value": 1.0, "n_effective": 0}
+            return _uninformative_row(plan)
         if plan.mcnemar_budget is not None:
-            kept = tuple(e.quad for e in eligible[: plan.mcnemar_budget])
-            quads = QuadrupleSet(quads=kept, outcome_kind=quads.outcome_kind)
+            quads = eligible.subset(slice(plan.mcnemar_budget))
     res = upper_pvalues(quads, plan.test, plan.tau0, plan.sided)(plan.gamma)
     row = {"statistic": res.statistic, "p_value": res.p_value, "n_effective": res.n_effective}
     if plan.compute_hl:
@@ -313,8 +317,8 @@ def level_power_study(
     rows: list[dict] = []
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
-        records = generate_binary(design, rng) if binary else generate_continuous(design, rng)
-        quads = quadruples_from_records(records, outcome_kind="binary" if binary else "continuous")
+        units = generate_binary(design, rng) if binary else generate_continuous(design, rng)
+        quads = quadruples_from_records(units, outcome_kind="binary" if binary else "continuous")
         row = {"rep": r}
         row.update(_analyze_one(quads, plan, true_tau))
         row["reject"] = int(row["p_value"] <= plan.alpha)
@@ -328,9 +332,10 @@ def level_power_study(
         "mean_p": float(np.mean([r["p_value"] for r in rows])),
     }
     if plan.compute_hl:
-        hls = np.array([r["hl"] for r in rows])
-        summary["hl_mean"] = float(hls.mean())
-        summary["hl_rmse"] = float(np.sqrt(np.mean((hls - true_tau) ** 2)))
+        hls = np.array([r["hl"] for r in rows], dtype=np.float64)
+        hls = hls[~np.isnan(hls)]
+        summary["hl_mean"] = float(hls.mean()) if hls.size else float("nan")
+        summary["hl_rmse"] = float(np.sqrt(np.mean((hls - true_tau) ** 2))) if hls.size else float("nan")
     if plan.estimate_gamma is not None:
         summary["coverage_rate"] = float(np.mean([r["covered"] for r in rows]))
     if plan.compute_changepoint:

@@ -3,36 +3,28 @@
 import numpy as np
 import pytest
 
-from didsens.core import MatchedPair, QuadrupleSet, UnitRecord, build_quadruple
+from didsens.core import QuadrupleSet, UnitRecord
 
 
 def unit(uid, period, z, outcome, **covariates):
     return UnitRecord(id=uid, period=period, z=z, outcome=float(outcome), covariates=covariates)
 
 
-def quad_from_d(i, d):
-    """One continuous quadruple whose contrast equals d (pre pair at 0/0)."""
-    pre = MatchedPair(treated=unit(f"q{i}pt", 1, 1, 0.0), control=unit(f"q{i}pc", 1, 0, 0.0))
-    post = MatchedPair(treated=unit(f"q{i}ot", 2, 1, float(d)), control=unit(f"q{i}oc", 2, 0, 0.0))
-    return build_quadruple(pre, post)
-
-
 def quadset_from_d(ds, outcome_kind="continuous"):
+    """Continuous quadruples whose contrasts equal ds (every outcome 0 but post treated)."""
     return QuadrupleSet(
-        quads=tuple(quad_from_d(i, d) for i, d in enumerate(ds)), outcome_kind=outcome_kind
+        ids=[[f"q{i}pt", f"q{i}pc", f"q{i}ot", f"q{i}oc"] for i in range(len(ds))],
+        outcomes=[[0.0, 0.0, float(d), 0.0] for d in ds],
+        outcome_kind=outcome_kind,
     )
-
-
-def binary_quad(i, pre_t, pre_c, post_t, post_c):
-    pre = MatchedPair(treated=unit(f"b{i}pt", 1, 1, pre_t), control=unit(f"b{i}pc", 1, 0, pre_c))
-    post = MatchedPair(treated=unit(f"b{i}ot", 2, 1, post_t), control=unit(f"b{i}oc", 2, 0, post_c))
-    return build_quadruple(pre, post)
 
 
 def binary_quadset(patterns):
     """patterns: list of (pre_t, pre_c, post_t, post_c) 0/1 tuples."""
     return QuadrupleSet(
-        quads=tuple(binary_quad(i, *p) for i, p in enumerate(patterns)), outcome_kind="binary"
+        ids=[[f"b{i}pt", f"b{i}pc", f"b{i}ot", f"b{i}oc"] for i in range(len(patterns))],
+        outcomes=[[float(y) for y in p] for p in patterns],
+        outcome_kind="binary",
     )
 
 

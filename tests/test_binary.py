@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from didsens.binary import (
-    EligibleQuadruple,
     binary_two_param_bounds,
     eligibility_report,
     eligible_quadruples,
@@ -16,7 +15,7 @@ from didsens.errors import DegenerateDataError, StructuralError
 from didsens.oracles import mcnemar_tail_exact
 from didsens.sensitivity import changepoint_gamma, two_param_bounds
 
-from conftest import binary_quad, binary_quadset, quadset_from_d
+from conftest import binary_quadset, quadset_from_d
 
 
 # the four informative patterns (pre_t, pre_c, post_t, post_c) and the rest
@@ -32,7 +31,8 @@ def test_eligibility_filter_and_reasons():
     rep = eligibility_report(qs)
     assert rep.n_total == 6
     assert rep.n_ineligible == 4
-    assert [e.s for e in rep.eligible] == [1, -1]
+    assert rep.eligible.d_values().tolist() == [2.0, -2.0]
+    assert rep.eligible.ids[:, 0].tolist() == ["b0pt", "b1pt"]
     assert rep.reasons["pre_concordant"] == 2
     assert rep.reasons["post_concordant"] == 2
     assert rep.reasons["same_direction"] == 1
@@ -41,21 +41,16 @@ def test_eligibility_filter_and_reasons():
 def test_eligible_signs_match_contrasts():
     qs = binary_quadset([POSITIVE, NEGATIVE, POSITIVE])
     els = eligible_quadruples(qs)
-    assert [e.s for e in els] == [1, -1, 1]
-    for e in els:
-        assert e.quad.d == 2.0 * e.s
+    assert els.d_values().tolist() == [2.0, -2.0, 2.0]
     assert mcnemar_statistic(els) == 2
 
 
 def test_binary_guard_rejects_continuous_sets():
     with pytest.raises(StructuralError):
         eligibility_report(quadset_from_d([1.0, -1.0]))
-
-
-def test_eligible_quadruple_sign_validation():
-    q = binary_quad(0, *POSITIVE)
-    with pytest.raises(StructuralError):
-        EligibleQuadruple(quad=q, s=0)
+    # a non-0/1 outcome is reported by the first offending unit id
+    with pytest.raises(StructuralError, match="'b1pc': binary outcome must be 0 or 1"):
+        eligibility_report(binary_quadset([POSITIVE, (1, 0.5, 0, 2)]))
 
 
 def _eligible_with_statistic(n, t):

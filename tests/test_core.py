@@ -1,19 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from didsens.core import (
-    MatchedPair,
-    Quadruple,
-    QuadrupleSet,
-    UnitRecord,
-    build_quadruple,
-    did_contrast,
-    validate_dataset,
-)
+from didsens.core import MatchedPair, QuadrupleSet, validate_dataset
 from didsens.errors import StructuralError
 
-from conftest import binary_quadset, quad_from_d, quadset_from_d, unit
+from conftest import binary_quadset, quadset_from_d, unit
 
 
 def test_unit_record_validates_period_and_group():
@@ -39,46 +32,60 @@ def test_matched_pair_roles_and_period():
         MatchedPair(treated=t, control=unit("t", 1, 0, 1.0))
 
 
-def test_did_contrast_subtracts_pair_differences():
+def test_from_pairs_subtracts_pair_differences():
     pre = MatchedPair(treated=unit("a", 1, 1, 2.0), control=unit("b", 1, 0, 1.0))
     post = MatchedPair(treated=unit("c", 2, 1, 5.0), control=unit("d", 2, 0, 2.0))
-    assert did_contrast(pre, post) == (5.0 - 2.0) - (2.0 - 1.0)
+    qs = QuadrupleSet.from_pairs([pre], [post])
+    assert qs.d_values().tolist() == [(5.0 - 2.0) - (2.0 - 1.0)]
+    assert qs.ids.tolist() == [["a", "b", "c", "d"]]
+    assert qs.outcomes.tolist() == [[2.0, 1.0, 5.0, 2.0]]
     with pytest.raises(StructuralError, match="expected 1"):
-        did_contrast(post, post)
+        QuadrupleSet.from_pairs([post], [post])
     with pytest.raises(StructuralError, match="expected 2"):
-        did_contrast(pre, pre)
-
-
-def test_build_quadruple_derives_sign_and_magnitude():
-    q = quad_from_d(0, -2.5)
-    assert q.d == -2.5
-    assert q.s == -1
-    assert q.a == 2.5
-    z = quad_from_d(1, 0.0)
-    assert z.s == 0 and z.a == 0.0
-
-
-def test_quadruple_consistency_guard():
-    q = quad_from_d(0, 1.0)
-    with pytest.raises(StructuralError, match="s \\* a != d"):
-        Quadruple(pre=q.pre, post=q.post, d=1.0, s=-1, a=1.0)
-    with pytest.raises(StructuralError, match="nonnegative"):
-        Quadruple(pre=q.pre, post=q.post, d=1.0, s=1, a=-1.0)
+        QuadrupleSet.from_pairs([pre], [pre])
+    with pytest.raises(ValueError):
+        QuadrupleSet.from_pairs([pre], [])
 
 
 def test_quadruple_set_rejects_shared_units():
-    q = quad_from_d(0, 1.0)
+    with pytest.raises(StructuralError, match="'u' appears in more than one slot"):
+        QuadrupleSet(ids=[["a", "b", "c", "u"], ["u", "e", "f", "g"]], outcomes=np.zeros((2, 4)))
     with pytest.raises(StructuralError, match="more than one slot"):
-        QuadrupleSet(quads=(q, q))
+        QuadrupleSet(ids=[["a", "b", "a", "d"]], outcomes=np.zeros((1, 4)))
     with pytest.raises(StructuralError, match="outcome_kind"):
-        QuadrupleSet(quads=(q,), outcome_kind="ternary")
+        QuadrupleSet(ids=[["a", "b", "c", "d"]], outcomes=np.zeros((1, 4)), outcome_kind="ternary")
+    with pytest.raises(StructuralError, match="shape"):
+        QuadrupleSet(ids=[["a", "b", "c"]], outcomes=np.zeros((1, 3)))
+    with pytest.raises(StructuralError, match="rows"):
+        QuadrupleSet(ids=[["a", "b", "c", "d"]], outcomes=np.zeros((2, 4)))
 
 
 def test_d_values_order_preserved():
     qs = quadset_from_d([3.0, -1.0, 0.5])
     assert qs.d_values().tolist() == [3.0, -1.0, 0.5]
     assert len(qs) == 3
-    assert [q.d for q in qs] == [3.0, -1.0, 0.5]
+
+
+def test_quadruple_set_arrays_are_read_only():
+    source = [[0.0, 1.0, 4.0, 2.0]]
+    qs = QuadrupleSet(ids=[["a", "b", "c", "d"]], outcomes=source)
+    for arr in (qs.d_values(), qs.ids, qs.outcomes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    source[0][2] = 9.0  # the set keeps its own copy
+    assert qs.d_values().tolist() == [3.0]
+
+
+def test_subset_keeps_order_and_kind():
+    qs = binary_quadset([(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1), (0, 1, 1, 0)])
+    mask = qs.subset(np.array([True, False, True, True]))
+    assert mask.ids[:, 0].tolist() == ["b0pt", "b2pt", "b3pt"]
+    assert mask.d_values().tolist() == [2.0, 0.0, 2.0]
+    assert mask.outcome_kind == "binary"
+    head = qs.subset(slice(2))
+    assert head.ids[:, 0].tolist() == ["b0pt", "b1pt"]
+    assert qs.subset([3, 1]).d_values().tolist() == [2.0, -2.0]
+    assert len(qs.subset(slice(0))) == 0
 
 
 def test_validate_dataset_flags_problems():

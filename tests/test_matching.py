@@ -355,20 +355,12 @@ def test_cross_period_match_exact_region_and_contrasts():
     spec = BalanceSpec(nominal={"region": NominalRule("exact")})
     quads, details = cross_period_match(pre, post, spec, return_details=True)
     assert len(quads) == 2
-    for q in quads:
-        regions = {
-            q.pre.treated.covariates["region"],
-            q.pre.control.covariates["region"],
-            q.post.treated.covariates["region"],
-            q.post.control.covariates["region"],
-        }
-        assert len(regions) == 1
-        post_diff = q.post.treated.outcome - q.post.control.outcome
-        pre_diff = q.pre.treated.outcome - q.pre.control.outcome
-        assert q.d == post_diff - pre_diff
-    for (i, j), q in zip(details.index_pairs, quads):
-        assert q.pre is pre[i]
-        assert q.post is post[j]
+    units = {u.id: u for p in pre + post for u in (p.treated, p.control)}
+    for (i, j), ids, d in zip(details.index_pairs, quads.ids.tolist(), quads.d_values().tolist()):
+        a, b = pre[i], post[j]
+        assert ids == [a.treated.id, a.control.id, b.treated.id, b.control.id]
+        assert len({units[uid].covariates["region"] for uid in ids}) == 1
+        assert d == b.outcome_diff - a.outcome_diff
 
 
 def test_cross_period_match_needs_pairs():

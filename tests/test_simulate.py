@@ -16,23 +16,42 @@ from didsens.simulate import (
 )
 
 
+def _equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
 def test_generators_are_reproducible_bit_for_bit():
     c = ContinuousDesign(n_quadruples=40, tau=1.0)
-    assert generate_continuous(c, seed=5) == generate_continuous(c, seed=5)
+    assert _equal(generate_continuous(c, seed=5), generate_continuous(c, seed=5))
     b = BinaryDesign(n_quadruples=40)
-    assert generate_binary(b, seed=5) == generate_binary(b, seed=5)
-    assert generate_continuous(c, seed=5) != generate_continuous(c, seed=6)
+    assert _equal(generate_binary(b, seed=5), generate_binary(b, seed=5))
+    assert not _equal(generate_continuous(c, seed=5), generate_continuous(c, seed=6))
 
 
 def test_record_structure_round_trips():
     design = ContinuousDesign(n_quadruples=25, tau=0.5)
-    records = generate_continuous(design, seed=2)
-    assert len(records) == 100
-    quads = quadruples_from_records(records)
+    z, outcomes = generate_continuous(design, seed=2)
+    assert z.shape == outcomes.shape == (25, 2, 2)
+    quads = quadruples_from_records((z, outcomes))
     assert len(quads) == 25
     assert quads.outcome_kind == "continuous"
-    for q in quads:
-        assert q.pre.treated.period == 1 and q.post.treated.period == 2
+    periods = np.char.partition(quads.ids, "-")[:, :, 2]
+    assert np.all(np.char.startswith(periods[:, :2], "p1-"))
+    assert np.all(np.char.startswith(periods[:, 2:], "p2-"))
+
+
+def test_quadruples_from_records_places_treated_units():
+    # quadruple 0: member a treated in period 1, member b in period 2; quadruple 1 the reverse
+    z = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    outcomes = np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]])
+    quads = quadruples_from_records((z, outcomes), outcome_kind="binary")
+    assert quads.ids.tolist() == [
+        ["q00000-p1-a", "q00000-p1-b", "q00000-p2-b", "q00000-p2-a"],
+        ["q00001-p1-b", "q00001-p1-a", "q00001-p2-a", "q00001-p2-b"],
+    ]
+    assert quads.outcomes.tolist() == [[1.0, 2.0, 4.0, 3.0], [6.0, 5.0, 7.0, 8.0]]
+    assert quads.d_values().tolist() == [(4.0 - 3.0) - (1.0 - 2.0), (7.0 - 8.0) - (6.0 - 5.0)]
+    assert quads.outcome_kind == "binary"
 
 
 def test_unit_effects_cancel_in_the_contrast():
@@ -74,11 +93,10 @@ def test_design_validation():
 
 def test_binary_flat_design_rates():
     design = BinaryDesign(n_quadruples=4000, mu_sd=0.0, alpha_sd=0.0, beta_sd=0.0)
-    records = generate_binary(design, seed=13)
-    outcomes = np.array([r.outcome for r in records])
-    assert set(outcomes.tolist()) <= {0.0, 1.0}
+    z, outcomes = generate_binary(design, seed=13)
+    assert set(outcomes.ravel().tolist()) <= {0.0, 1.0}
     assert outcomes.mean() == pytest.approx(0.5, abs=0.02)
-    quads = quadruples_from_records(records, outcome_kind="binary")
+    quads = quadruples_from_records((z, outcomes), outcome_kind="binary")
     rep = eligibility_report(quads)
     assert rep.n_total == 4000
     assert len(rep.eligible) / 4000 == pytest.approx(1.0 / 8.0, abs=0.02)
@@ -168,14 +186,36 @@ def test_plan_and_study_validation():
 
 
 def test_quadruples_from_records_structural_errors():
-    records = generate_continuous(ContinuousDesign(n_quadruples=3), seed=4)
-    with pytest.raises(StructuralError, match="3 records"):
-        quadruples_from_records(records[:-1])
-    broken = [
-        r if not r.id.startswith("q00000-p1") else type(r)(
-            id=r.id, period=r.period, z=1, outcome=r.outcome, covariates=r.covariates
-        )
-        for r in records
-    ]
-    with pytest.raises(StructuralError, match="treated-control"):
-        quadruples_from_records(broken)
+    z, outcomes = generate_continuous(ContinuousDesign(n_quadruples=3), seed=4)
+    with pytest.raises(StructuralError, match="expected \\(n, 2, 2\\)"):
+        quadruples_from_records((z[:, :1], outcomes[:, :1]))
+    with pytest.raises(StructuralError, match="expected \\(n, 2, 2\\)"):
+        quadruples_from_records((z, outcomes[:-1]))
+    broken = z.copy()
+    broken[0, 0] = 1
+    with pytest.raises(StructuralError, match="'q00000' period 1 is not a treated-control pair"):
+        quadruples_from_records((broken, outcomes))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{"compute_changepoint": True}, {"compute_hl": True}, {"estimate_gamma": 1.2}],
+    ids=["changepoint", "hl", "estimate_gamma"],
+)
+def test_replications_without_informative_quadruples_fill_every_column(flags):
+    # rare events leave 5 of these 8 replications with no informative quadruple
+    design = BinaryDesign(n_quadruples=8, mu_mean=-2.0)
+    res = level_power_study(design, AnalysisPlan(test="mcnemar", **flags), reps=8, seed=1)
+    empty = [row for row in res.rows if row["n_effective"] == 0]
+    informative = [row for row in res.rows if row["n_effective"] > 0]
+    assert empty and informative
+    for row in empty:
+        assert row["p_value"] == 1.0 and row["reject"] == 0
+        assert list(row) == list(informative[0])
+        for key in ("changepoint", "hl", "bound_lower", "bound_upper"):
+            assert math.isnan(row.get(key, math.nan))
+        assert row.get("covered", 0) == 0
+    if "compute_hl" in flags:
+        hls = np.array([row["hl"] for row in informative])
+        assert res.summary["hl_mean"] == float(hls.mean())
+        assert res.summary["hl_rmse"] == float(np.sqrt(np.mean(hls**2)))
