@@ -45,7 +45,6 @@ from .matching import (
     BalanceSpec,
     CrossMatchDetails,
     NominalRule,
-    PairSummary,
     balance_report,
     cross_balance_report,
     cross_period_match,
@@ -97,7 +96,6 @@ __all__ = [
     "KERNEL_BACKEND",
     "MatchedPair",
     "NominalRule",
-    "PairSummary",
     "QuadrupleSet",
     "ScoreFunction",
     "SignProbabilityBounds",

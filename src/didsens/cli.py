@@ -426,21 +426,11 @@ def cmd_match(cfg: AnalysisConfig) -> int:
     post = [r for r in records if r.period == 2]
     pre_pairs = within_period_match(pre, spec)
     post_pairs = within_period_match(post, spec)
-    quads, details = cross_period_match(
-        pre_pairs,
-        post_pairs,
-        spec,
-        outcome_kind=cfg.outcome_kind,
-        pair_spec=spec,
-        return_details=True,
-    )
+    quads, details = cross_period_match(pre_pairs, post_pairs, spec, outcome_kind=cfg.outcome_kind)
     reports = [
         balance_report(pre, pre_pairs, seed=cfg.seed, stage="period1"),
         balance_report(post, post_pairs, seed=cfg.seed, stage="period2"),
-        cross_balance_report(
-            details.pre_summaries, details.post_summaries, details.index_pairs,
-            seed=cfg.seed, stage="cross",
-        ),
+        cross_balance_report(details, seed=cfg.seed, stage="cross"),
     ]
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

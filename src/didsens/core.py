@@ -76,10 +76,6 @@ class MatchedPair:
     def period(self) -> int:
         return self.treated.period
 
-    @property
-    def outcome_diff(self) -> float:
-        return self.treated.outcome - self.control.outcome
-
 
 SLOTS = ("pre_treated", "pre_control", "post_treated", "post_control")
 

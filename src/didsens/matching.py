@@ -28,7 +28,7 @@ import bisect
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,14 +96,6 @@ class BalanceSpec:
     def budget(self, name: str) -> int:
         rule = self.nominal[name]
         return rule.k if rule.kind == "near_fine" else 0
-
-
-@dataclass(frozen=True)
-class PairSummary:
-    """Pair-level features for cross-period matching."""
-
-    pair: MatchedPair
-    features: Mapping[str, float | str]
 
 
 @dataclass(frozen=True)
@@ -645,19 +637,16 @@ def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> lis
     return [MatchedPair(treated=treated[t], control=controls[c]) for t, c in pairs]
 
 
-def pair_summaries(
-    pairs: Sequence[MatchedPair], spec: BalanceSpec | None = None
-) -> list[PairSummary]:
-    """Summarize pairs for cross-period matching.
+def pair_summaries(pairs: Sequence[MatchedPair], spec: BalanceSpec) -> list[dict[str, float | str]]:
+    """Pair-level features for cross-period matching, one mapping per pair.
 
-    Continuous covariates become within-pair means.  Nominal covariates
-    become the shared label when exactly matched; under (near-)fine
-    balance an unordered compound label "a|b"; covariates declared with
-    rule "none" are dropped.  Without a spec, nominal covariates with
-    differing labels raise an error instructing the caller to declare a
-    handling rule.
+    Continuous covariates become within-pair means.  A nominal covariate
+    keeps its label when the two units share it; otherwise its rule in
+    spec decides: "fine" and "near_fine" give the unordered compound label
+    "a|b", "exact" raises, and an undeclared covariate raises an error
+    asking for a handling rule.  Covariates with rule "none" are dropped.
     """
-    out: list[PairSummary] = []
+    out: list[dict[str, float | str]] = []
     for pair in pairs:
         features: dict[str, float | str] = {}
         for name, value in pair.treated.covariates.items():
@@ -667,37 +656,49 @@ def pair_summaries(
                     "missing on the control side"
                 )
             other = pair.control.covariates[name]
-            if isinstance(value, str):
-                rule = spec.nominal.get(name, NominalRule("none")) if spec is not None else None
-                if rule is not None and rule.kind == "none":
-                    continue
-                if value == other:
-                    features[name] = value
-                elif rule is not None and rule.kind in ("fine", "near_fine"):
-                    features[name] = "|".join(sorted((value, str(other))))
-                elif rule is not None and rule.kind == "exact":
-                    raise StructuralError(
-                        f"pair ({pair.treated.id!r}, {pair.control.id!r}) violates exact "
-                        f"matching on {name!r}"
-                    )
-                else:
-                    raise StructuralError(
-                        f"nominal covariate {name!r} differs within pair "
-                        f"({pair.treated.id!r}, {pair.control.id!r}) and has no handling rule; "
-                        "declare it exact, fine, near_fine, or none in the BalanceSpec"
-                    )
-            else:
+            if not isinstance(value, str):
                 features[name] = 0.5 * (float(value) + float(other))
-        out.append(PairSummary(pair=pair, features=features))
+                continue
+            rule = spec.nominal.get(name)
+            kind = rule.kind if rule is not None else None
+            if kind == "none":
+                continue
+            if value == other:
+                features[name] = value
+            elif kind in ("fine", "near_fine"):
+                features[name] = "|".join(sorted((value, str(other))))
+            elif kind == "exact":
+                raise StructuralError(
+                    f"pair ({pair.treated.id!r}, {pair.control.id!r}) violates exact "
+                    f"matching on {name!r}"
+                )
+            else:
+                raise StructuralError(
+                    f"nominal covariate {name!r} differs within pair "
+                    f"({pair.treated.id!r}, {pair.control.id!r}) and has no handling rule; "
+                    "declare it exact, fine, near_fine, or none in the BalanceSpec"
+                )
+        out.append(features)
     return out
+
+
+def _feature_kinds(rows: Sequence[Mapping[str, float | str]]) -> dict[str, str]:
+    """Covariate kind per feature name: nominal for labels, else continuous."""
+    kinds: dict[str, str] = {}
+    for row in rows:
+        for name, value in row.items():
+            kind = "nominal" if isinstance(value, str) else "continuous"
+            if kinds.setdefault(name, kind) != kind:
+                raise StructuralError(f"feature {name!r} mixes continuous and nominal values")
+    return kinds
 
 
 @dataclass(frozen=True)
 class CrossMatchDetails:
-    """Pair summaries and index pairs behind a cross-period match."""
+    """Pair features and index pairs behind a cross-period match."""
 
-    pre_summaries: tuple[PairSummary, ...]
-    post_summaries: tuple[PairSummary, ...]
+    pre_features: tuple[Mapping[str, float | str], ...]
+    post_features: tuple[Mapping[str, float | str], ...]
     index_pairs: tuple[tuple[int, int], ...]
 
 
@@ -706,45 +707,34 @@ def cross_period_match(
     post_pairs: Sequence[MatchedPair],
     spec: BalanceSpec,
     outcome_kind: str = "continuous",
-    pair_spec: BalanceSpec | None = None,
-    return_details: bool = False,
-):
-    """Match period-1 pairs to period-2 pairs on pair-level summaries.
+) -> tuple[QuadrupleSet, CrossMatchDetails]:
+    """Match period-1 pairs to period-2 pairs on pair-level features.
 
-    spec constrains the pair-level features (continuous features are
-    within-pair means; nominal features are labels or compound labels).
-    pair_spec, when given, is the within-period spec used to build the
-    summaries.  Returns a QuadrupleSet, or (QuadrupleSet,
-    CrossMatchDetails) with return_details=True.
+    spec builds the features (see pair_summaries) and constrains them;
+    covariates with rule "none" have no feature and so no constraint.
+    Returns the QuadrupleSet and the CrossMatchDetails behind it.
     """
     if not pre_pairs or not post_pairs:
         raise InfeasibleMatchError("need at least one pair on each side")
-    pre_sum = pair_summaries(pre_pairs, spec=pair_spec)
-    post_sum = pair_summaries(post_pairs, spec=pair_spec)
-    kinds: dict[str, str] = {}
-    for s in pre_sum + post_sum:
-        for name, value in s.features.items():
-            kind = "nominal" if isinstance(value, str) else "continuous"
-            if kinds.setdefault(name, kind) != kind:
-                raise StructuralError(f"feature {name!r} mixes continuous and nominal values")
-    swap = len(pre_sum) > len(post_sum) and spec.objective == "minimize_total_distance"
-    rows_a = [s.features for s in (post_sum if swap else pre_sum)]
-    rows_b = [s.features for s in (pre_sum if swap else post_sum)]
-    stage = _StageData(rows_a, rows_b, kinds, spec)
+    pre = pair_summaries(pre_pairs, spec)
+    post = pair_summaries(post_pairs, spec)
+    kinds = _feature_kinds(pre + post)
+    nominal = {name: rule for name, rule in spec.nominal.items() if rule.kind != "none"}
+    stage_spec = replace(spec, nominal=nominal)
+    swap = len(pre) > len(post) and spec.objective == "minimize_total_distance"
+    stage = _StageData(post if swap else pre, pre if swap else post, kinds, stage_spec)
     index_pairs = _match_stage(stage)
     if swap:
         index_pairs = sorted((b, a) for a, b in index_pairs)
     quad_set = QuadrupleSet.from_pairs(
         [pre_pairs[i] for i, _ in index_pairs], [post_pairs[j] for _, j in index_pairs], outcome_kind
     )
-    if return_details:
-        details = CrossMatchDetails(
-            pre_summaries=tuple(pre_sum),
-            post_summaries=tuple(post_sum),
-            index_pairs=tuple((int(i), int(j)) for i, j in index_pairs),
-        )
-        return quad_set, details
-    return quad_set
+    details = CrossMatchDetails(
+        pre_features=tuple(pre),
+        post_features=tuple(post),
+        index_pairs=tuple((int(i), int(j)) for i, j in index_pairs),
+    )
+    return quad_set, details
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +875,40 @@ def _balance_rows(
     ]
 
 
+def _report(
+    rows_a: Sequence[Mapping[str, float | str]],
+    rows_b: Sequence[Mapping[str, float | str]],
+    index_pairs: Sequence[tuple[int, int]],
+    kinds: Mapping[str, str],
+    seed: int,
+    draws: int,
+    stage: str,
+) -> BalanceReport:
+    """Balance of rows_a against rows_b before matching and of the matched
+    rows (index pairs into rows_a, rows_b) after."""
+    all_rows = list(rows_a) + list(rows_b)
+    n_a = len(rows_a)
+    columns = {
+        name: np.array(
+            [row[name] for row in all_rows],
+            dtype=np.float64 if kinds[name] == "continuous" else object,
+        )
+        for name in kinds
+    }
+    ia_before = np.arange(n_a, dtype=np.int64)
+    ib_before = np.arange(n_a, len(all_rows), dtype=np.int64)
+    ia_after = np.array([i for i, _ in index_pairs], dtype=np.int64)
+    ib_after = np.array([n_a + j for _, j in index_pairs], dtype=np.int64)
+    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, seed, draws)
+    return BalanceReport(
+        stage=stage,
+        rows=tuple(rows),
+        n_treated_before=n_a,
+        n_control_before=len(rows_b),
+        n_matched=len(index_pairs),
+    )
+
+
 def balance_report(
     records: Sequence[UnitRecord],
     pairs: Sequence[MatchedPair],
@@ -901,61 +925,26 @@ def balance_report(
     """
     records = list(records)
     kinds = _covariate_kinds(records)
-    id_to_idx = {r.id: i for i, r in enumerate(records)}
-    ia_before = np.array([i for i, r in enumerate(records) if r.z == 1], dtype=np.int64)
-    ib_before = np.array([i for i, r in enumerate(records) if r.z == 0], dtype=np.int64)
-    ia_after = np.array([id_to_idx[p.treated.id] for p in pairs], dtype=np.int64)
-    ib_after = np.array([id_to_idx[p.control.id] for p in pairs], dtype=np.int64)
-    columns = {
-        name: np.array(
-            [r.covariates[name] for r in records],
-            dtype=np.float64 if kinds[name] == "continuous" else object,
-        )
-        for name in kinds
-    }
-    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, seed, draws)
+    treated = [r for r in records if r.z == 1]
+    controls = [r for r in records if r.z == 0]
+    t_pos = {r.id: i for i, r in enumerate(treated)}
+    c_pos = {r.id: j for j, r in enumerate(controls)}
+    index_pairs = [(t_pos[p.treated.id], c_pos[p.control.id]) for p in pairs]
     if not stage:
         stage = f"period{records[0].period}" if records else "stage"
-    return BalanceReport(
-        stage=stage,
-        rows=tuple(rows),
-        n_treated_before=int(ia_before.size),
-        n_control_before=int(ib_before.size),
-        n_matched=len(pairs),
+    return _report(
+        [r.covariates for r in treated], [r.covariates for r in controls],
+        index_pairs, kinds, seed, draws, stage,
     )
 
 
 def cross_balance_report(
-    pre_summaries: Sequence[PairSummary],
-    post_summaries: Sequence[PairSummary],
-    index_pairs: Sequence[tuple[int, int]],
+    details: CrossMatchDetails,
     seed: int = 0,
     draws: int = 10_000,
     stage: str = "cross",
 ) -> BalanceReport:
     """Balance of pair-level features across the two periods."""
-    all_rows = [s.features for s in pre_summaries] + [s.features for s in post_summaries]
-    kinds: dict[str, str] = {}
-    for row in all_rows:
-        for name, value in row.items():
-            kinds[name] = "nominal" if isinstance(value, str) else "continuous"
-    columns = {
-        name: np.array(
-            [row[name] for row in all_rows],
-            dtype=np.float64 if kinds[name] == "continuous" else object,
-        )
-        for name in kinds
-    }
-    n_pre = len(pre_summaries)
-    ia_before = np.arange(n_pre, dtype=np.int64)
-    ib_before = np.arange(n_pre, n_pre + len(post_summaries), dtype=np.int64)
-    ia_after = np.array([i for i, _ in index_pairs], dtype=np.int64)
-    ib_after = np.array([n_pre + j for _, j in index_pairs], dtype=np.int64)
-    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, seed, draws)
-    return BalanceReport(
-        stage=stage,
-        rows=tuple(rows),
-        n_treated_before=n_pre,
-        n_control_before=len(post_summaries),
-        n_matched=len(index_pairs),
-    )
+    rows_a, rows_b = details.pre_features, details.post_features
+    kinds = _feature_kinds(rows_a + rows_b)
+    return _report(rows_a, rows_b, details.index_pairs, kinds, seed, draws, stage)

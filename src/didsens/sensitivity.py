@@ -238,17 +238,15 @@ def estimate_bounds(
     return (min(tau_min, tau_max), max(tau_min, tau_max))
 
 
-def _deviate(w_sum: float, w_sqsum: float, n: int) -> float:
-    """Studentized mean from running sums; +/-inf conventions at zero spread."""
+def _deviate(w_sum, w_sqsum, n: int) -> np.ndarray:
+    """Studentized means from running sums, elementwise; at zero spread
+    +/-inf by the sign of the mean, and 0 for a zero mean."""
     mean = w_sum / n
     var = (w_sqsum - n * mean * mean) / (n - 1)
-    if var <= 0:
-        if mean > 0:
-            return math.inf
-        if mean < 0:
-            return -math.inf
-        return 0.0
-    return mean / math.sqrt(var / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = mean / np.sqrt(var / n)
+    flat = np.where(mean > 0, math.inf, np.where(mean < 0, -math.inf, 0.0))
+    return np.where(var <= 0, flat, dev)
 
 
 def _extreme_deviate(lo: np.ndarray, hi: np.ndarray, minimize: bool) -> float:
@@ -256,34 +254,28 @@ def _extreme_deviate(lo: np.ndarray, hi: np.ndarray, minimize: bool) -> float:
 
     The extremum over the rectangle is attained at a vertex; candidate
     vertices are the prefix/suffix assignments in the sorted coordinate
-    order, scanned exhaustively.
+    order, all evaluated at once from cumulative sums.
     """
     if not minimize:
         return -_extreme_deviate(-hi, -lo, minimize=True)
     n = lo.size
     order = np.argsort(hi)
     lo_s, hi_s = lo[order], hi[order]
-    best = math.inf
+
+    def cum(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(x)])
+
+    k = np.arange(n + 1)
     # Suffix family: top-k coordinates (largest hi) at the upper endpoint.
-    lo_cum_fwd = np.concatenate([[0.0], np.cumsum(lo_s)])
-    lo2_cum_fwd = np.concatenate([[0.0], np.cumsum(lo_s**2)])
-    hi_cum_rev = np.concatenate([[0.0], np.cumsum(hi_s[::-1])])
-    hi2_cum_rev = np.concatenate([[0.0], np.cumsum(hi_s[::-1] ** 2)])
-    for k in range(n + 1):
-        w_sum = lo_cum_fwd[n - k] + hi_cum_rev[k]
-        w_sq = lo2_cum_fwd[n - k] + hi2_cum_rev[k]
-        best = min(best, _deviate(w_sum, w_sq, n))
+    suffix = _deviate(
+        cum(lo_s)[n - k] + cum(hi_s[::-1])[k], cum(lo_s**2)[n - k] + cum(hi_s[::-1] ** 2)[k], n
+    )
     # Prefix family: bottom-k coordinates at the upper endpoint (covers the
     # negative-mean regime of the optimality condition).
-    hi_cum_fwd = np.concatenate([[0.0], np.cumsum(hi_s)])
-    hi2_cum_fwd = np.concatenate([[0.0], np.cumsum(hi_s**2)])
-    lo_cum_rev = np.concatenate([[0.0], np.cumsum(lo_s[::-1])])
-    lo2_cum_rev = np.concatenate([[0.0], np.cumsum(lo_s[::-1] ** 2)])
-    for k in range(n + 1):
-        w_sum = hi_cum_fwd[k] + lo_cum_rev[n - k]
-        w_sq = hi2_cum_fwd[k] + lo2_cum_rev[n - k]
-        best = min(best, _deviate(w_sum, w_sq, n))
-    return best
+    prefix = _deviate(
+        cum(hi_s)[k] + cum(lo_s[::-1])[n - k], cum(hi_s**2)[k] + cum(lo_s[::-1] ** 2)[n - k], n
+    )
+    return float(min(suffix.min(), prefix.min()))
 
 
 def _sate_upper_tail(a: np.ndarray, kappa: float, direction: str) -> float:

@@ -18,6 +18,7 @@ hidden trait sits directly in the outcome logit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,14 @@ def generate_binary(design: BinaryDesign, seed=None) -> tuple[np.ndarray, np.nda
     return z, outcomes
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_ids(n: int) -> np.ndarray:
+    """Read-only (n, 2, 2) unit ids "q{i:05d}-p{t}-{a|b}", built once per size."""
+    ids = np.array([f"q{i:05d}-p{t}-{m}" for i in range(n) for t in (1, 2) for m in "ab"]).reshape(n, 2, 2)
+    ids.flags.writeable = False
+    return ids
+
+
 def quadruples_from_records(
     units: tuple[np.ndarray, np.ndarray], outcome_kind: str = "continuous"
 ) -> QuadrupleSet:
@@ -211,9 +220,8 @@ def quadruples_from_records(
     n = z.shape[0]
     # With one treated member per period, 1 - z lists (treated, control) member indices.
     slot_member = 1 - z.astype(np.intp)
-    ids = np.array([f"q{i:05d}-p{t}-{m}" for i in range(n) for t in (1, 2) for m in "ab"]).reshape(n, 2, 2)
     return QuadrupleSet(
-        ids=np.take_along_axis(ids, slot_member, axis=2).reshape(n, 4),
+        ids=np.take_along_axis(_unit_ids(n), slot_member, axis=2).reshape(n, 4),
         outcomes=np.take_along_axis(outcomes, slot_member, axis=2).reshape(n, 4),
         outcome_kind=outcome_kind,
     )

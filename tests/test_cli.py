@@ -101,6 +101,21 @@ def test_match_is_byte_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("site", [{"role": "nominal"}, {"role": "nominal", "balance": "none"}])
+def test_match_with_balance_none_reports_site_in_period_rows_only(tmp_path, site):
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml", data, out,
+        covariates={"x": {"role": "continuous"}, "site": site},
+    )
+    assert cli.main(["match", "--config", str(config)]) == 0
+    with (out / "balance.csv").open(newline="") as fh:
+        site_stages = sorted(r["stage"] for r in csv.DictReader(fh) if r["covariate"] == "site")
+    assert site_stages == ["period1", "period2"]
+
+
 def test_quadruples_csv_round_trips(matched):
     _, out = matched
     quads = read_quadruples_csv(str(out / "quadruples.csv"), "continuous")

@@ -23,7 +23,6 @@ def test_matched_pair_roles_and_period():
     c = unit("c", 1, 0, 1.0)
     pair = MatchedPair(treated=t, control=c)
     assert pair.period == 1
-    assert pair.outcome_diff == 3.0
     with pytest.raises(StructuralError, match="treated slot"):
         MatchedPair(treated=c, control=t)
     with pytest.raises(StructuralError, match="periods differ"):

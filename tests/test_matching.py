@@ -318,28 +318,27 @@ def _pair(i, period, region, x_t, x_c, y_t=0.0, y_c=0.0):
 
 def test_pair_summaries_features():
     pairs = [_pair(0, 1, "north", 2.0, 4.0)]
-    s = pair_summaries(pairs)[0]
-    assert s.features == {"region": "north", "x": 3.0}
+    assert pair_summaries(pairs, BalanceSpec())[0] == {"region": "north", "x": 3.0}
     # differing labels need a declared rule
     t = unit("t", 1, 1, 0.0, region="north", x=1.0)
     c = unit("c", 1, 0, 0.0, region="south", x=1.0)
     odd = [MatchedPair(treated=t, control=c)]
     with pytest.raises(StructuralError, match="handling rule"):
-        pair_summaries(odd)
+        pair_summaries(odd, BalanceSpec())
     spec = BalanceSpec(nominal={"region": NominalRule("fine")})
-    assert pair_summaries(odd, spec=spec)[0].features["region"] == "north|south"
+    assert pair_summaries(odd, spec)[0]["region"] == "north|south"
     drop = BalanceSpec(nominal={"region": NominalRule("none")})
-    assert "region" not in pair_summaries(odd, spec=drop)[0].features
+    assert "region" not in pair_summaries(odd, drop)[0]
     strict = BalanceSpec(nominal={"region": NominalRule("exact")})
     with pytest.raises(StructuralError, match="exact"):
-        pair_summaries(odd, spec=strict)
+        pair_summaries(odd, strict)
 
 
 def test_pair_summaries_missing_covariate():
     t = unit("t", 1, 1, 0.0, x=1.0, extra=2.0)
     c = unit("c", 1, 0, 0.0, x=1.0)
     with pytest.raises(StructuralError, match="extra"):
-        pair_summaries([MatchedPair(treated=t, control=c)])
+        pair_summaries([MatchedPair(treated=t, control=c)], BalanceSpec())
 
 
 def test_cross_period_match_exact_region_and_contrasts():
@@ -353,14 +352,27 @@ def test_cross_period_match_exact_region_and_contrasts():
         _pair(1, 2, "north", 1.1, 1.0, y_t=4.0, y_c=2.0),
     ]
     spec = BalanceSpec(nominal={"region": NominalRule("exact")})
-    quads, details = cross_period_match(pre, post, spec, return_details=True)
+    quads, details = cross_period_match(pre, post, spec)
     assert len(quads) == 2
     units = {u.id: u for p in pre + post for u in (p.treated, p.control)}
     for (i, j), ids, d in zip(details.index_pairs, quads.ids.tolist(), quads.d_values().tolist()):
         a, b = pre[i], post[j]
         assert ids == [a.treated.id, a.control.id, b.treated.id, b.control.id]
         assert len({units[uid].covariates["region"] for uid in ids}) == 1
-        assert d == b.outcome_diff - a.outcome_diff
+        assert d == (b.treated.outcome - b.control.outcome) - (a.treated.outcome - a.control.outcome)
+
+
+def test_cross_period_match_honours_declared_fine_rule():
+    # Pair features follow spec: differing regions under "fine" become a compound label.
+    pre = [_pair(0, 1, "north", 1.0, 1.2), _pair(1, 1, "south", 2.0, 2.1)]
+    post = [_pair(0, 2, "north", 1.1, 1.0), _pair(1, 2, "south", 2.2, 2.0)]
+    t = unit("p1t2", 1, 1, 0.0, region="north", x=3.0)
+    c = unit("p1c2", 1, 0, 0.0, region="south", x=3.1)
+    pre.append(MatchedPair(treated=t, control=c))
+    spec = BalanceSpec(nominal={"region": NominalRule("fine")})
+    quads, details = cross_period_match(pre, post, spec)
+    assert details.pre_features[2]["region"] == "north|south"
+    assert len(quads) == len(details.index_pairs) > 0
 
 
 def test_cross_period_match_needs_pairs():
@@ -395,10 +407,8 @@ def test_cross_balance_report_uses_pair_features():
     pre = [_pair(0, 1, "north", 1.0, 1.2), _pair(1, 1, "south", 2.0, 2.1)]
     post = [_pair(0, 2, "north", 1.1, 1.0), _pair(1, 2, "south", 2.2, 2.0)]
     spec = BalanceSpec(nominal={"region": NominalRule("exact")})
-    quads, details = cross_period_match(pre, post, spec, return_details=True)
-    rep = cross_balance_report(
-        details.pre_summaries, details.post_summaries, details.index_pairs, seed=1, draws=200
-    )
+    quads, details = cross_period_match(pre, post, spec)
+    rep = cross_balance_report(details, seed=1, draws=200)
     assert rep.stage == "cross"
     assert {r.covariate for r in rep.rows} == {"region", "x"}
     assert rep.n_matched == len(quads)
