@@ -20,7 +20,6 @@ from .core import (
     MatchedPair,
     QuadrupleSet,
     UnitRecord,
-    ValidationReport,
     validate_dataset,
 )
 from .errors import (
@@ -103,7 +102,6 @@ __all__ = [
     "StudyResult",
     "TestResult",
     "UnitRecord",
-    "ValidationReport",
     "amplify_did",
     "amplify_paired",
     "balance_report",

@@ -25,7 +25,7 @@ import yaml
 
 from .binary import eligibility_report
 from .core import SLOTS, MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
-from .errors import ConfigError, DataError, DidsensError, InfeasibleMatchError
+from .errors import ConfigError, DataError, InfeasibleMatchError
 from .inference import hodges_lehmann, invert_ci, randomization_pvalue
 from .matching import (
     BalanceSpec,
@@ -290,10 +290,7 @@ def _parse_row(row: dict, lineno: int, cfg: AnalysisConfig) -> UnitRecord:
         else:
             covariates[name] = str(value)
     unit_id = row[cfg.id_column] if cfg.id_column else f"row{lineno}"
-    try:
-        return UnitRecord(id=unit_id, period=period, z=z, outcome=outcome, covariates=covariates)
-    except DidsensError as exc:
-        fail(str(exc))
+    return UnitRecord(id=unit_id, period=period, z=z, outcome=outcome, covariates=covariates)
 
 
 def _balance_spec(cfg: AnalysisConfig) -> BalanceSpec:
@@ -414,13 +411,7 @@ def cmd_match(cfg: AnalysisConfig) -> int:
     if cfg.input is None:
         raise ConfigError("input is required for match")
     records = read_unit_records(cfg.input, cfg)
-    check = validate_dataset(records, outcome_kind=cfg.outcome_kind)
-    if not check.ok:
-        shown = "; ".join(check.problems[:5])
-        more = len(check.problems) - 5
-        if more > 0:
-            shown += f"; and {more} more"
-        raise DataError(f"invalid dataset: {shown}")
+    validate_dataset(records, outcome_kind=cfg.outcome_kind)
     spec = _balance_spec(cfg)
     pre = [r for r in records if r.period == 1]
     post = [r for r in records if r.period == 2]
@@ -428,9 +419,9 @@ def cmd_match(cfg: AnalysisConfig) -> int:
     post_pairs = within_period_match(post, spec)
     quads, details = cross_period_match(pre_pairs, post_pairs, spec, outcome_kind=cfg.outcome_kind)
     reports = [
-        balance_report(pre, pre_pairs, seed=cfg.seed, stage="period1"),
-        balance_report(post, post_pairs, seed=cfg.seed, stage="period2"),
-        cross_balance_report(details, seed=cfg.seed, stage="cross"),
+        balance_report(pre, pre_pairs, seed=cfg.seed),
+        balance_report(post, post_pairs, seed=cfg.seed),
+        cross_balance_report(details, seed=cfg.seed),
     ]
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -456,20 +447,28 @@ def _check_kind_test(cfg: AnalysisConfig) -> None:
         raise ConfigError("test mcnemar requires outcome.kind: binary")
 
 
-def _eligibility_or_error(quads: QuadrupleSet):
-    rep = eligibility_report(quads)
-    if not rep.eligible:
-        histogram = ", ".join(f"{k}={v}" for k, v in sorted(rep.reasons.items()))
+def _load_quadruples(cfg: AnalysisConfig, quad_path: str):
+    """(quadruples, eligibility report or None) for cmd_test and cmd_sens.
+
+    A binary set must test the sharp null and hold an informative quadruple."""
+    _check_kind_test(cfg)
+    quads = read_quadruples_csv(quad_path, cfg.outcome_kind)
+    if cfg.outcome_kind != "binary":
+        return quads, None
+    if cfg.tau0 != 0.0:
+        raise ConfigError("binary tests address the sharp null; tau0 must be 0")
+    elig = eligibility_report(quads)
+    if not elig.eligible:
+        histogram = ", ".join(f"{k}={v}" for k, v in sorted(elig.reasons.items()))
         raise DataError(
-            f"no informative quadruples among {rep.n_total} "
+            f"no informative quadruples among {elig.n_total} "
             f"(exclusion counts, not mutually exclusive: {histogram})"
         )
-    return rep
+    return quads, elig
 
 
 def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
-    _check_kind_test(cfg)
-    quads = read_quadruples_csv(quad_path, cfg.outcome_kind)
+    quads, elig = _load_quadruples(cfg, quad_path)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "test",
@@ -479,10 +478,7 @@ def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
         "tau0": cfg.tau0,
         "n_quadruples": len(quads),
     }
-    if cfg.outcome_kind == "binary":
-        if cfg.tau0 != 0.0:
-            raise ConfigError("binary tests address the sharp null; tau0 must be 0")
-        elig = _eligibility_or_error(quads)
+    if elig is not None:
         report["eligibility"] = {
             "n_total": elig.n_total,
             "n_eligible": len(elig.eligible),
@@ -542,19 +538,14 @@ def _amplification_rows(gamma: float, lambdas) -> list[dict]:
             {
                 "lam": lam,
                 "delta_did": amplify_did(gamma, lam),
-                "delta_paired": amplify_paired(gamma, lam) if lam > gamma or gamma == 1.0 else None,
+                "delta_paired": amplify_paired(gamma, lam),
             }
         )
     return rows
 
 
 def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
-    _check_kind_test(cfg)
-    quads = read_quadruples_csv(quad_path, cfg.outcome_kind)
-    if cfg.outcome_kind == "binary":
-        if cfg.tau0 != 0.0:
-            raise ConfigError("binary tests address the sharp null; tau0 must be 0")
-        _eligibility_or_error(quads)
+    quads, _ = _load_quadruples(cfg, quad_path)
     rank_test = cfg.test in SCORE_TESTS
     pvalue = upper_pvalues(quads, cfg.test, cfg.tau0, cfg.sided)
     grid = []
@@ -616,10 +607,9 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
         )
     for row in grid:
         for amp in row["amplification"]:
-            paired = _sig4(amp["delta_paired"]) if amp["delta_paired"] is not None else "-"
             print(
                 f"amplify gamma={_sig4(row['gamma'])}: lambda={_sig4(amp['lam'])} -> "
-                f"delta={_sig4(amp['delta_did'])} (paired design: {paired})"
+                f"delta={_sig4(amp['delta_did'])} (paired design: {_sig4(amp['delta_paired'])})"
             )
     print(f"wrote {outdir / 'sens_report.json'}")
     return 0
@@ -792,9 +782,7 @@ def main(argv=None) -> int:
         quad_path = getattr(args, "quadruples", None) or str(Path(cfg.output_dir) / "quadruples.csv")
         if args.command == "test":
             return cmd_test(cfg, quad_path)
-        if args.command == "sens":
-            return cmd_sens(cfg, quad_path)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sens(cfg, quad_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

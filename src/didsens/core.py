@@ -154,15 +154,6 @@ class QuadrupleSet:
         return QuadrupleSet(self.ids[rows], self.outcomes[rows], self.outcome_kind)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_dataset: overall flag, problem list, inferred schema."""
-
-    ok: bool
-    problems: tuple[str, ...]
-    covariate_kinds: Mapping[str, str]
-
-
 def _value_kind(value: object) -> str | None:
     if isinstance(value, bool):
         return None
@@ -173,29 +164,19 @@ def _value_kind(value: object) -> str | None:
     return None
 
 
-def validate_dataset(records: list[UnitRecord], outcome_kind: str = "continuous") -> ValidationReport:
-    """Check a record list for structural problems.
+def validate_dataset(records: list[UnitRecord], outcome_kind: str = "continuous") -> dict[str, str]:
+    """Covariate name -> "continuous" or "nominal" for a valid record list.
 
-    Verifies unique ids, finite outcomes (0/1 when outcome_kind is
-    "binary"), a shared covariate name set, and per-covariate value kinds
-    consistent across records.
-
-    Parameters
-    ----------
-    records : list of UnitRecord
-    outcome_kind : str
-        "continuous" or "binary".
-
-    Returns
-    -------
-    ValidationReport
+    Checks unique ids, finite outcomes (0/1 when outcome_kind is "binary"),
+    a shared covariate name set, and per-covariate value kinds consistent
+    across records.  Otherwise raises StructuralError("invalid dataset:
+    ...") with the first five problems and the count of the rest.
     """
     if outcome_kind not in VALID_OUTCOME_KINDS:
         raise ValueError(f"outcome_kind must be one of {VALID_OUTCOME_KINDS}")
-    problems: list[str] = []
     if not records:
-        return ValidationReport(ok=False, problems=("dataset is empty",), covariate_kinds={})
-
+        raise StructuralError("invalid dataset: dataset is empty")
+    problems: list[str] = []
     seen_ids: set[str] = set()
     schema = sorted(records[0].covariates)
     kinds: dict[str, str] = {}
@@ -225,4 +206,9 @@ def validate_dataset(records: list[UnitRecord], outcome_kind: str = "continuous"
                 problems.append(
                     f"record {rec.id!r}: covariate {name!r} is {kind} here but {kinds[name]} elsewhere"
                 )
-    return ValidationReport(ok=not problems, problems=tuple(problems), covariate_kinds=kinds)
+    if problems:
+        shown = "; ".join(problems[:5])
+        if len(problems) > 5:
+            shown += f"; and {len(problems) - 5} more"
+        raise StructuralError(f"invalid dataset: {shown}")
+    return kinds

@@ -24,6 +24,8 @@ SIDES = ("one_sided_greater", "one_sided_less", "two_sided")
 DP_MAX_TOTAL = 1_000_000
 ENUM_MAX_N = 20
 _INT_SCALES = (1, 2)
+# Width of the bisection bracket around each confidence-interval endpoint.
+CI_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -272,12 +274,11 @@ def invert_ci(
     quads: QuadrupleSet,
     alpha: float = 0.05,
     score: ScoreFunction | None = None,
-    tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Confidence interval by inverting the two-sided randomization test.
 
     Returns the set {tau : two-sided p-value at tau > alpha} as an
-    interval, endpoints located by bisection to `tol`.  Endpoints are
+    interval, endpoints located by bisection to CI_TOL.  Endpoints are
     +/-inf when even extreme shifts are not rejected (tiny samples).
     On the DP route the null distribution is computed once per (score
     multiset, p_plus), in ascending score order, and shared by every probe
@@ -297,7 +298,9 @@ def invert_ci(
 
     lo0, hi0 = _search_span(d)
     center = hodges_lehmann(quads)
-    lower = -np.inf if p_two(lo0) > alpha else 0.5 * sum(_bisect(lambda t: p_two(t) > alpha, lo0, center, tol))
-    upper = np.inf if p_two(hi0) > alpha else -0.5 * sum(_bisect(lambda t: p_two(-t) > alpha, -hi0, -center, tol))
+    lower = -np.inf if p_two(lo0) > alpha else 0.5 * sum(_bisect(lambda t: p_two(t) > alpha, lo0, center, CI_TOL))
+    upper = np.inf if p_two(hi0) > alpha else -0.5 * sum(
+        _bisect(lambda t: p_two(-t) > alpha, -hi0, -center, CI_TOL)
+    )
     return (lower, upper)
 

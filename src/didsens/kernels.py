@@ -1,6 +1,11 @@
-"""Pure-numpy sign-flip convolution kernel."""
+"""Exact null-distribution kernel: the numpy sign-flip DP.
+
+`BACKEND` names the implementation and is recorded in run provenance.
+"""
 
 import numpy as np
+
+BACKEND = "python"
 
 
 def signflip_pmf(scores, p_plus):

@@ -188,7 +188,7 @@ def _assignment_match(
             f"{n_t} treated units but only {n_c} controls; "
             "minimize_total_distance must match every treated unit"
         )
-    dmax = float(dist.max()) if dist.size else 1.0
+    dmax = float(dist.max())
     cost_dist = dist.copy()
     if caliper is not None:
         cost_dist = cost_dist + (dist > caliper) * (1000.0 * (dmax + 1.0))
@@ -245,7 +245,7 @@ def _max_cardinality_match(dist: np.ndarray, feasible: np.ndarray) -> list[tuple
     n_t, n_c = dist.shape
     if not feasible.any():
         return []
-    dmax = float(dist[feasible].max()) if feasible.any() else 1.0
+    dmax = float(dist[feasible].max())
     unmatched = (min(n_t, n_c) + 1) * (dmax + 1.0)
     big = 10.0 * (n_t + n_c + 2) * unmatched
     cost = np.full((n_t, n_c + n_t), big)
@@ -278,9 +278,6 @@ class _StageData:
         self.cont_names = tuple(sorted(n for n, k in kinds.items() if k == "continuous"))
         self.x_t = np.array([[float(r[n]) for n in self.cont_names] for r in rows_t], dtype=np.float64)
         self.x_c = np.array([[float(r[n]) for n in self.cont_names] for r in rows_c], dtype=np.float64)
-        if not self.cont_names:
-            self.x_t = np.zeros((len(rows_t), 0))
-            self.x_c = np.zeros((len(rows_c), 0))
         self.dist = _rank_mahalanobis(self.x_t, self.x_c)
         exact = spec.exact_names
         self.exact_t = [tuple(r[n] for n in exact) for r in rows_t]
@@ -604,13 +601,6 @@ def _match_stage(stage: _StageData) -> list[tuple[int, int]]:
 # public matching operations
 
 
-def _covariate_kinds(records: Sequence[UnitRecord]) -> dict[str, str]:
-    report = validate_dataset(list(records))
-    if not report.ok:
-        raise StructuralError("invalid records: " + "; ".join(report.problems[:5]))
-    return dict(report.covariate_kinds)
-
-
 def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> list[MatchedPair]:
     """Pair treated to control units from one period under a BalanceSpec.
 
@@ -622,7 +612,7 @@ def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> lis
     periods = {r.period for r in records}
     if len(periods) != 1:
         raise StructuralError(f"records span periods {sorted(periods)}; expected one period")
-    kinds = _covariate_kinds(records)
+    kinds = validate_dataset(records)
     treated = [r for r in records if r.z == 1]
     controls = [r for r in records if r.z == 0]
     if not treated or not controls:
@@ -712,7 +702,9 @@ def cross_period_match(
 
     spec builds the features (see pair_summaries) and constrains them;
     covariates with rule "none" have no feature and so no constraint.
-    Returns the QuadrupleSet and the CrossMatchDetails behind it.
+    Returns the QuadrupleSet and the CrossMatchDetails behind it.  Under
+    minimize_total_distance the longer side takes the control role, and an
+    infeasible stage is reported with the period whose pairs were treated.
     """
     if not pre_pairs or not post_pairs:
         raise InfeasibleMatchError("need at least one pair on each side")
@@ -723,7 +715,12 @@ def cross_period_match(
     stage_spec = replace(spec, nominal=nominal)
     swap = len(pre) > len(post) and spec.objective == "minimize_total_distance"
     stage = _StageData(post if swap else pre, pre if swap else post, kinds, stage_spec)
-    index_pairs = _match_stage(stage)
+    try:
+        index_pairs = _match_stage(stage)
+    except InfeasibleMatchError as exc:
+        treated, control = (2, 1) if swap else (1, 2)
+        roles = f"period-{treated} pairs as treated units, period-{control} pairs as controls"
+        raise InfeasibleMatchError(f"cross-period stage ({roles}): {exc}") from None
     if swap:
         index_pairs = sorted((b, a) for a, b in index_pairs)
     quad_set = QuadrupleSet.from_pairs(
@@ -743,6 +740,8 @@ def cross_period_match(
 
 # Uniforms per block of permutation draws (512 KiB of float64 per buffer).
 _BLOCK_VALUES = 1 << 16
+# Seeded permutation draws behind every balance p-value.
+PERMUTATION_DRAWS = 10_000
 
 
 def _treated_sums(r: np.ndarray, n_a: int, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -881,7 +880,6 @@ def _report(
     index_pairs: Sequence[tuple[int, int]],
     kinds: Mapping[str, str],
     seed: int,
-    draws: int,
     stage: str,
 ) -> BalanceReport:
     """Balance of rows_a against rows_b before matching and of the matched
@@ -899,7 +897,7 @@ def _report(
     ib_before = np.arange(n_a, len(all_rows), dtype=np.int64)
     ia_after = np.array([i for i, _ in index_pairs], dtype=np.int64)
     ib_after = np.array([n_a + j for _, j in index_pairs], dtype=np.int64)
-    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, seed, draws)
+    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, seed, PERMUTATION_DRAWS)
     return BalanceReport(
         stage=stage,
         rows=tuple(rows),
@@ -913,38 +911,29 @@ def balance_report(
     records: Sequence[UnitRecord],
     pairs: Sequence[MatchedPair],
     seed: int = 0,
-    draws: int = 10_000,
-    stage: str = "",
 ) -> BalanceReport:
-    """Before/after balance for a within-period stage.
+    """Before/after balance for a within-period stage, named "period<t>".
 
     "Before" compares all treated to all control records; "after" compares
     the matched units.  Standardized differences use the full-sample
     pooled SD throughout; p-values are two-sample permutation tests with
-    10,000 seeded draws by default.
+    PERMUTATION_DRAWS seeded draws.
     """
     records = list(records)
-    kinds = _covariate_kinds(records)
+    kinds = validate_dataset(records)
     treated = [r for r in records if r.z == 1]
     controls = [r for r in records if r.z == 0]
     t_pos = {r.id: i for i, r in enumerate(treated)}
     c_pos = {r.id: j for j, r in enumerate(controls)}
     index_pairs = [(t_pos[p.treated.id], c_pos[p.control.id]) for p in pairs]
-    if not stage:
-        stage = f"period{records[0].period}" if records else "stage"
     return _report(
         [r.covariates for r in treated], [r.covariates for r in controls],
-        index_pairs, kinds, seed, draws, stage,
+        index_pairs, kinds, seed, f"period{records[0].period}",
     )
 
 
-def cross_balance_report(
-    details: CrossMatchDetails,
-    seed: int = 0,
-    draws: int = 10_000,
-    stage: str = "cross",
-) -> BalanceReport:
-    """Balance of pair-level features across the two periods."""
+def cross_balance_report(details: CrossMatchDetails, seed: int = 0) -> BalanceReport:
+    """Balance of pair-level features across the two periods, stage "cross"."""
     rows_a, rows_b = details.pre_features, details.post_features
     kinds = _feature_kinds(rows_a + rows_b)
-    return _report(rows_a, rows_b, details.index_pairs, kinds, seed, draws, stage)
+    return _report(rows_a, rows_b, details.index_pairs, kinds, seed, "cross")

@@ -34,6 +34,8 @@ DIRECTIONS = ("upper", "lower")
 # Sign-score tests, which also give a shift estimate, an interval and estimate bounds.
 SCORE_TESTS = ("signed_rank", "permutational_t")
 TESTS = SCORE_TESTS + ("sate", "mcnemar")
+# Width of the bisection bracket that changepoint_gamma returns the lower end of.
+CHANGEPOINT_TOL = 1e-4
 
 
 def _check_direction(direction: str) -> None:
@@ -363,23 +365,20 @@ def upper_pvalues(
 
 def changepoint_gamma(
     quads: QuadrupleSet,
+    test: str,
     tau0: float = 0.0,
-    test: str | None = None,
     alpha: float = 0.05,
     sided: str = "one_sided_greater",
-    tol: float = 1e-4,
 ) -> float | None:
     """Largest gamma at which the worst-case p-value of `test` still meets alpha.
 
-    test defaults to mcnemar for binary sets and signed_rank otherwise.
-    Doubles gamma from 1 to bracket the crossing, then bisects to `tol`.
+    test is one of TESTS.  Doubles gamma from 1 to bracket the crossing,
+    then bisects to CHANGEPOINT_TOL and returns the bracket's lower end.
     Returns None when the test already fails at gamma = 1 (there is no
     significance to lose), inf when the bracket passes 1e6.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if test is None:
-        test = "mcnemar" if quads.outcome_kind == "binary" else "signed_rank"
     pvalue = upper_pvalues(quads, test, tau0, sided)
 
     def lost(gamma: float) -> bool:
@@ -393,4 +392,4 @@ def changepoint_gamma(
         hi *= 2.0
         if hi > 1e6:
             return math.inf
-    return _bisect(lost, lo, hi, tol)[0]
+    return _bisect(lost, lo, hi, CHANGEPOINT_TOL)[0]

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -237,6 +240,28 @@ def test_exit_4_on_unparseable_data(tmp_path, capsys):
     config = write_config(tmp_path / "config.yaml", data, out)
     assert cli.main(["match", "--config", str(config)]) == 4
     assert "line 2" in capsys.readouterr().err
+
+
+def test_exit_4_on_invalid_dataset_lists_five_problems(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    rows = ["unit,period,z,y,x,site"] + [f"dup,1,{i % 2},1.0,0.5,a" for i in range(8)]
+    data.write_text("\n".join(rows) + "\n")
+    config = write_config(tmp_path / "config.yaml", data, tmp_path / "out")
+    assert cli.main(["match", "--config", str(config)]) == 4
+    shown = "; ".join(["record 'dup': duplicate id"] * 5)
+    assert capsys.readouterr().err == f"data error: invalid dataset: {shown}; and 2 more\n"
+
+
+def test_importing_the_package_writes_nothing_to_stdout():
+    # A benchmark run's last stdout line must be its result, so imports stay silent.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import didsens, didsens.cli"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def test_exit_2_on_zero_reps(tmp_path, capsys):

@@ -92,33 +92,42 @@ def test_validate_dataset_flags_problems():
         unit("a", 1, 1, 1.0, age=30.0, sector="mfg"),
         unit("b", 1, 0, 2.0, age=31.0, sector="svc"),
     ]
-    rep = validate_dataset(good)
-    assert rep.ok
-    assert rep.covariate_kinds == {"age": "continuous", "sector": "nominal"}
+    assert validate_dataset(good) == {"age": "continuous", "sector": "nominal"}
 
     dup = good + [unit("a", 2, 1, 1.0, age=30.0, sector="mfg")]
-    assert not validate_dataset(dup).ok
+    with pytest.raises(StructuralError, match="duplicate id"):
+        validate_dataset(dup)
 
     nonfinite = [unit("n", 1, 1, math.inf)]
-    assert any("finite" in p for p in validate_dataset(nonfinite).problems)
+    with pytest.raises(StructuralError, match="finite"):
+        validate_dataset(nonfinite)
 
     mixed_schema = good + [unit("c", 1, 0, 1.0, age=40.0)]
-    assert any("covariate names" in p for p in validate_dataset(mixed_schema).problems)
+    with pytest.raises(StructuralError, match="covariate names"):
+        validate_dataset(mixed_schema)
 
     mixed_kind = good + [unit("d", 1, 0, 1.0, age="old", sector="mfg")]
-    assert any("elsewhere" in p for p in validate_dataset(mixed_kind).problems)
+    with pytest.raises(StructuralError, match="elsewhere"):
+        validate_dataset(mixed_kind)
 
     boolean = [unit("e", 1, 1, 1.0, flag=True)]
-    assert any("unsupported" in p for p in validate_dataset(boolean).problems)
+    with pytest.raises(StructuralError, match="unsupported"):
+        validate_dataset(boolean)
 
-    assert not validate_dataset([]).ok
+    with pytest.raises(StructuralError, match="^invalid dataset: dataset is empty$"):
+        validate_dataset([])
+
+    many = [unit(f"u{i}", 1, 1, math.nan) for i in range(7)]
+    with pytest.raises(StructuralError, match=r"^invalid dataset: record 'u0'.*'u4'[^;]*; and 2 more$"):
+        validate_dataset(many)
 
 
 def test_validate_dataset_binary_outcomes():
     ok = [unit("a", 1, 1, 1.0), unit("b", 1, 0, 0.0)]
-    assert validate_dataset(ok, outcome_kind="binary").ok
+    assert validate_dataset(ok, outcome_kind="binary") == {}
     bad = [unit("c", 1, 1, 0.5)]
-    assert not validate_dataset(bad, outcome_kind="binary").ok
+    with pytest.raises(StructuralError, match="binary outcome must be 0 or 1"):
+        validate_dataset(bad, outcome_kind="binary")
     with pytest.raises(ValueError):
         validate_dataset(ok, outcome_kind="count")
 

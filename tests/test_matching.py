@@ -375,6 +375,31 @@ def test_cross_period_match_honours_declared_fine_rule():
     assert len(quads) == len(details.index_pairs) > 0
 
 
+@pytest.mark.parametrize("rule", ["exact", "fine"])
+@pytest.mark.parametrize("pre_labels, treated, control, short_label", [
+    ("yes yes no", 1, 2, "yes"),
+    ("yes yes yes no", 2, 1, "no"),  # more period-1 pairs: the roles swap
+])
+def test_cross_stage_infeasibility_names_the_stage(rule, pre_labels, treated, control, short_label):
+    # Every pair of the treated side must be matched under minimize_total_distance,
+    # and the label counts of the two periods' pairs differ.
+    pre = [_pair(i, 1, label, float(i), float(i)) for i, label in enumerate(pre_labels.split())]
+    post = [_pair(i, 2, label, float(i), float(i)) for i, label in enumerate("yes no no".split())]
+    spec = BalanceSpec(nominal={"region": NominalRule(rule)}, objective="minimize_total_distance")
+    with pytest.raises(InfeasibleMatchError) as info:
+        cross_period_match(pre, post, spec)
+    cause = {
+        "exact": "no admissible control for every treated unit under the exact matching and "
+                 "fine balance constraints",
+        "fine": f"fine balance infeasible: category ('{short_label}',) has 2 treated but 1 controls "
+                "(total deficit 1 exceeds budget 0)",
+    }[rule]
+    assert str(info.value) == (
+        f"cross-period stage (period-{treated} pairs as treated units, "
+        f"period-{control} pairs as controls): {cause}"
+    )
+
+
 def test_cross_period_match_needs_pairs():
     with pytest.raises(InfeasibleMatchError):
         cross_period_match([], [_pair(0, 2, "north", 1.0, 1.0)], BalanceSpec())
@@ -391,7 +416,7 @@ def test_balance_report_shape_and_determinism():
         (0, {"x": 5.0, "site": "b"}),
     ])
     pairs = within_period_match(records, BalanceSpec())
-    rep = balance_report(records, pairs, seed=3, draws=300)
+    rep = balance_report(records, pairs, seed=3)
     assert [r.covariate for r in rep.rows] == ["site", "x"]
     assert rep.n_treated_before == 3
     assert rep.n_control_before == 4
@@ -399,7 +424,7 @@ def test_balance_report_shape_and_determinism():
     for row in rep.rows:
         assert 0.0 <= row.p_before <= 1.0
         assert 0.0 <= row.p_after <= 1.0
-    rep2 = balance_report(records, pairs, seed=3, draws=300)
+    rep2 = balance_report(records, pairs, seed=3)
     assert rep2 == rep
 
 
@@ -408,7 +433,7 @@ def test_cross_balance_report_uses_pair_features():
     post = [_pair(0, 2, "north", 1.1, 1.0), _pair(1, 2, "south", 2.2, 2.0)]
     spec = BalanceSpec(nominal={"region": NominalRule("exact")})
     quads, details = cross_period_match(pre, post, spec)
-    rep = cross_balance_report(details, seed=1, draws=200)
+    rep = cross_balance_report(details, seed=1)
     assert rep.stage == "cross"
     assert {r.covariate for r in rep.rows} == {"region", "x"}
     assert rep.n_matched == len(quads)

@@ -175,7 +175,7 @@ def test_changepoint_all_positive_closed_form():
     # with every contrast positive the worst-case tail is p+^n, so the
     # changepoint solves p+^10 = alpha
     qs = quadset_from_d([float(k) for k in range(1, 11)])
-    g = changepoint_gamma(qs, alpha=0.05)
+    g = changepoint_gamma(qs, test="signed_rank", alpha=0.05)
     p_star = 0.05 ** (1.0 / 10.0)
     expected = math.sqrt(p_star / (1.0 - p_star))
     assert g == pytest.approx(expected, abs=1e-3)
@@ -183,7 +183,7 @@ def test_changepoint_all_positive_closed_form():
 
 def test_changepoint_none_without_significance():
     qs = quadset_from_d([-1.0, 2.0, -3.0, 1.0, -2.0])
-    assert changepoint_gamma(qs, alpha=0.05) is None
+    assert changepoint_gamma(qs, test="signed_rank", alpha=0.05) is None
 
 
 def test_sate_gamma_one_is_the_z_test():

@@ -54,6 +54,22 @@ def test_quadruples_from_records_places_treated_units():
     assert quads.outcome_kind == "binary"
 
 
+def test_tau_heterogeneity_moves_only_the_post_treated_outcome():
+    # The heterogeneity draw is the generator's last, so one seed gives the same
+    # assignment and outcomes with and without it, except where the effect enters.
+    n = 2000
+    flat = quadruples_from_records(generate_continuous(ContinuousDesign(n_quadruples=n, tau=0.3), seed=4))
+    spread = quadruples_from_records(
+        generate_continuous(ContinuousDesign(n_quadruples=n, tau=0.3, tau_heterogeneity_sd=0.5), seed=4)
+    )
+    assert np.array_equal(flat.ids, spread.ids)
+    moved = flat.outcomes != spread.outcomes
+    assert moved[:, 2].all() and not moved[:, [0, 1, 3]].any()
+    # The contrast gains one N(0, 0.5^2) draw per quadruple; the SD of 2000 draws
+    # has standard error 0.5 / sqrt(2 * 1999) = 0.008, and the band is 5 of them.
+    assert abs(np.std(spread.d - flat.d, ddof=1) - 0.5) < 0.04
+
+
 def test_unit_effects_cancel_in_the_contrast():
     # huge unit, role, and period effects must vanish from d exactly
     design = ContinuousDesign(n_quadruples=10_000, mu_sd=50.0, alpha_sd=50.0, beta_sd=50.0)
