@@ -1,21 +1,21 @@
-"""Binary-outcome path: eligibility filtering and exact binomial tests.
+"""Binary-outcome path: eligibility filtering and McNemar's test.
 
 With 0/1 outcomes, only quadruples whose pairs are discordant in opposite
 directions carry sign information; their contrasts are +/-2.  The count of
-positive signs among the eligible quadruples is a McNemar-style statistic
-whose null and worst-case reference distributions are binomial, with sign
-probability gamma^2/(1 + gamma^2) in the worst case.
+positive signs among them is the sign-score statistic with unit scores, so
+it runs through the same sign-flip DP, whose pmf is then Binomial(n, p),
+p = gamma^2/(1 + gamma^2) in the worst case ("mcnemar:dp:gamma=..." in `method`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.stats import binom
+import numpy as np
 
 from .core import QuadrupleSet
 from .errors import DegenerateDataError, StructuralError
-from .inference import TestResult, _sided_pvalue
+from .inference import ScoreFunction, TestResult, _signscore_pvalue
 from .sensitivity import SignProbabilityBounds, _tilt, two_param_bounds
 
 
@@ -79,18 +79,16 @@ def mcnemar_sensitivity_pvalue(
     At gamma = 1 this is the exact McNemar-style randomization test.
     """
     p_greater_tail, p_less_tail = _tilt(gamma, direction)
-    n = len(eligible)
-    if n == 0:
+    if len(eligible) == 0:
         raise DegenerateDataError("no eligible quadruples; the binary design carries no information")
-    t = mcnemar_statistic(eligible)
-    p_val = _sided_pvalue(
-        lambda: float(binom.sf(t - 1, n, p_greater_tail)), lambda: float(binom.cdf(t, n, p_less_tail)), sided
+    t, p_val, route, n = _signscore_pvalue(
+        np.sign(eligible.d_values()), 0.0, ScoreFunction.absolute_value(), p_greater_tail, p_less_tail, sided
     )
     return TestResult(
-        statistic=float(t),
-        p_value=min(p_val, 1.0),
+        statistic=t,
+        p_value=p_val,
         sided=sided,
-        method=f"mcnemar:binomial:gamma={gamma:g}:{direction}",
+        method=f"mcnemar:{route}:gamma={gamma:g}:{direction}",
         n_effective=n,
     )
 

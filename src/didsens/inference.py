@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from . import kernels
 from .core import QuadrupleSet
@@ -26,6 +26,17 @@ ENUM_MAX_N = 20
 _INT_SCALES = (1, 2)
 # Width of the bisection bracket around each confidence-interval endpoint.
 CI_TOL = 1e-6
+
+
+def average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array; ties share their mean rank, a multiple of 0.5."""
+    order = np.argsort(a, kind="stable")
+    s = np.asarray(a)[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(starts, append=s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -55,8 +66,7 @@ class ScoreFunction:
         if self.kind == "wilcoxon":
             q = np.zeros_like(a)
             nonzero = a > 0
-            if nonzero.any():
-                q[nonzero] = rankdata(a[nonzero], method="average")
+            q[nonzero] = average_ranks(a[nonzero])
             return q
         if self.kind == "absolute_value":
             return a.copy()
@@ -174,7 +184,7 @@ def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: boo
     mu = p_plus * total
     sigma = np.sqrt(p_plus * (1.0 - p_plus) * np.square(q_active).sum())
     z = (t_obs - mu) / sigma
-    p = float(norm.sf(z)) if greater else float(norm.cdf(z))
+    p = float(ndtr(-z)) if greater else float(ndtr(z))
     return p, "normal"
 
 
@@ -280,6 +290,8 @@ def invert_ci(
     Returns the set {tau : two-sided p-value at tau > alpha} as an
     interval, endpoints located by bisection to CI_TOL.  Endpoints are
     +/-inf when even extreme shifts are not rejected (tiny samples).
+    Both bisections start at the score's own estimate, where the two-sided
+    p-value is 1: Hodges-Lehmann for ranks, the mean for absolute values.
     On the DP route the null distribution is computed once per (score
     multiset, p_plus), in ascending score order, and shared by every probe
     that sees the same multiset.
@@ -297,7 +309,7 @@ def invert_ci(
             return 1.0
 
     lo0, hi0 = _search_span(d)
-    center = hodges_lehmann(quads)
+    center = float(d.mean()) if score.kind == "absolute_value" else hodges_lehmann(quads)
     lower = -np.inf if p_two(lo0) > alpha else 0.5 * sum(_bisect(lambda t: p_two(t) > alpha, lo0, center, CI_TOL))
     upper = np.inf if p_two(hi0) > alpha else -0.5 * sum(
         _bisect(lambda t: p_two(-t) > alpha, -hi0, -center, CI_TOL)

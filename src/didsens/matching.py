@@ -34,10 +34,10 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from .core import MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
 from .errors import ConfigError, InfeasibleMatchError, StructuralError
+from .inference import average_ranks
 
 OBJECTIVES = ("maximize_pairs", "minimize_total_distance")
 NOMINAL_RULES = ("exact", "fine", "near_fine", "none")
@@ -157,7 +157,7 @@ def _rank_mahalanobis(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     if p == 0:
         return np.zeros((na, xb.shape[0]))
     pooled = np.vstack([xa, xb])
-    ranks = np.column_stack([rankdata(pooled[:, j], method="average") for j in range(p)])
+    ranks = np.column_stack([average_ranks(pooled[:, j]) for j in range(p)])
     cov = np.atleast_2d(np.cov(ranks, rowvar=False))
     cov = cov + np.eye(p) * (1e-8 * max(np.trace(cov), 1.0))
     transform = np.linalg.cholesky(np.linalg.inv(cov))

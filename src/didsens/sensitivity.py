@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .core import QuadrupleSet
 from .errors import DegenerateDataError
@@ -51,32 +51,22 @@ class SignProbabilityBounds:
     upper: float
     lam: float
     delta: float
-    aligned: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise ValueError("bounds must satisfy 0 <= lower <= upper <= 1")
 
 
-def two_param_bounds(lam: float, delta: float, aligned: bool = False) -> SignProbabilityBounds:
+def two_param_bounds(lam: float, delta: float) -> SignProbabilityBounds:
     """Sharp sign-probability bounds under separate caps lam and delta.
 
     Closed forms:
         lower = (delta^2 + lam^2) / ((1 + lam^2) (1 + delta^2))
         upper = ((lam delta)^2 + 1) / ((1 + lam^2) (1 + delta^2))
-    which satisfy lower + upper = 1.  With aligned=True the caps are
-    restricted to configurations whose per-period coefficients share a
-    sign; that tighter bound has no closed form and is computed by the
-    brute-force grid optimizer.
+    which satisfy lower + upper = 1.
     """
     if lam < 1 or delta < 1:
         raise ValueError("lam and delta must be >= 1")
-    if aligned:
-        from .oracles import brute_force_bound
-
-        lo = brute_force_bound(lam, delta, objective="min", aligned=True).value
-        hi = brute_force_bound(lam, delta, objective="max", aligned=True).value
-        return SignProbabilityBounds(lower=lo, upper=hi, lam=lam, delta=delta, aligned=True)
     l2 = lam * lam
     d2 = delta * delta
     denom = (1.0 + l2) * (1.0 + d2)
@@ -290,7 +280,7 @@ def _sate_upper_tail(a: np.ndarray, kappa: float, direction: str) -> float:
         lo = a - kappa * np.abs(a)
         hi = a + kappa * np.abs(a)
         dev = _extreme_deviate(lo, hi, minimize=(direction == "upper"))
-    return float(norm.sf(dev))
+    return float(ndtr(-dev))
 
 
 def sate_pvalue(
@@ -345,7 +335,7 @@ def upper_pvalues(
 
     The one place a test name picks its engine: the sign-score tests run
     `worst_case_pvalue` with `score_for(test)`, sate runs `sate_pvalue` and
-    mcnemar runs the exact binomial bound on the eligible quadruples.  The
+    mcnemar runs the unit-score sign test on the eligible quadruples.  The
     score, or the eligible quadruples, are fixed once for every gamma.
     """
     if test not in TESTS:

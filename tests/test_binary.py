@@ -84,6 +84,29 @@ def test_mcnemar_matches_fraction_oracle_on_random_cases():
                 assert got.p_value == pytest.approx(float(want), abs=1e-12)
 
 
+def test_mcnemar_tails_match_scipy_binomial():
+    # On n unit scores the sign-flip DP is the Binomial(n, p) pmf.
+    from scipy.stats import binom
+
+    for n in (1, 2, 9, 25, 100, 417, 1200):
+        sets = {t: _eligible_with_statistic(n, t) for t in {0, 1, n // 3, n // 2, (2 * n) // 3, n - 1, n}}
+        for gamma in (1.0, 1.3, 2.5):
+            p_hi = gamma**2 / (1.0 + gamma**2)
+            for direction, p_g, p_l in (("upper", p_hi, 1.0 - p_hi), ("lower", 1.0 - p_hi, p_hi)):
+                for sided in ("one_sided_greater", "one_sided_less", "two_sided"):
+                    for t, els in sets.items():
+                        got = mcnemar_sensitivity_pvalue(els, gamma=gamma, direction=direction, sided=sided)
+                        greater, less = binom.sf(t - 1, n, p_g), binom.cdf(t, n, p_l)
+                        want = {"one_sided_greater": greater, "one_sided_less": less}.get(
+                            sided, min(1.0, 2.0 * min(greater, less))
+                        )
+                        assert got.method == f"mcnemar:dp:gamma={gamma:g}:{direction}"
+                        if want >= 1e-300:
+                            assert abs(got.p_value - want) <= 1e-12 * want, (n, t, gamma, direction, sided)
+                        else:
+                            assert got.p_value < 1e-290
+
+
 def test_mcnemar_two_sided_cap():
     els = _eligible_with_statistic(6, 3)
     res = mcnemar_sensitivity_pvalue(els, gamma=1.0, sided="two_sided")

@@ -254,10 +254,11 @@ def test_exit_4_on_invalid_dataset_lists_five_problems(tmp_path, capsys):
 
 def test_importing_the_package_writes_nothing_to_stdout():
     # A benchmark run's last stdout line must be its result, so imports stay silent.
+    # The package also keeps scipy.stats, the largest import it could pull in, off its path.
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import didsens, didsens.cli"],
+        [sys.executable, "-c", "import sys, didsens, didsens.cli; assert 'scipy.stats' not in sys.modules"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from didsens import inference, kernels
 from didsens.errors import DegenerateDataError
 from didsens.inference import (
+    CI_TOL,
     ScoreFunction,
     _integer_scaled,
     _null_pmf,
+    average_ranks,
     hodges_lehmann,
     invert_ci,
     randomization_pvalue,
@@ -34,6 +36,17 @@ def test_wilcoxon_scores_drop_zeros():
     score = ScoreFunction.wilcoxon()
     q = score.scores(np.array([0.0, 3.0, 1.0]))
     assert q.tolist() == [0.0, 2.0, 1.0]
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(11)
+    vectors = [np.full(7, 2.5), np.array([4.0]), rng.integers(0, 4, 50), np.round(rng.normal(size=200), 1)]
+    for x in vectors:
+        got, want = average_ranks(x), rankdata(x, method="average")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_absolute_value_scores_are_magnitudes():
@@ -154,6 +167,22 @@ def test_ci_brackets_by_exhaustive_probe():
     assert p_two(hi + 0.05) <= 0.10 or hi > max(d)
     point = hodges_lehmann(qs)
     assert lo <= point <= hi
+
+
+def test_absolute_value_ci_endpoints_bracket_alpha_on_skewed_data():
+    # The permutational-t test already rejects at the Hodges-Lehmann point of
+    # these lognormal contrasts, so a search started there returns it as the
+    # lower endpoint.
+    d = np.random.default_rng(51).lognormal(size=46)
+    qs = quadset_from_d(d.tolist())
+    score = ScoreFunction.absolute_value()
+    lo, hi = invert_ci(qs, alpha=0.05, score=score)
+
+    def p_two(tau):
+        return randomization_pvalue(qs, tau0=tau, score=score, sided="two_sided").p_value
+
+    assert p_two(lo + CI_TOL) > 0.05 >= p_two(lo - CI_TOL)
+    assert p_two(hi - CI_TOL) > 0.05 >= p_two(hi + CI_TOL)
 
 
 def test_ci_unbounded_when_too_few_quadruples():

@@ -46,11 +46,12 @@ def test_grid_matches_closed_form_with_corner_extrema():
 
 
 def test_aligned_search_is_no_wider():
-    lo, hi = closed_form_bounds(2.0, 3.0)
-    res_max = brute_force_bound(2.0, 3.0, "max", aligned=True)
-    res_min = brute_force_bound(2.0, 3.0, "min", aligned=True)
-    assert res_max.value <= hi + 1e-12
-    assert res_min.value >= lo - 1e-12
+    for lam, delta in ((2.0, 3.0), (1.5, 2.0), (3.0, 1.2), (2.0, 2.0)):
+        lo, hi = closed_form_bounds(lam, delta)
+        res_max = brute_force_bound(lam, delta, "max", aligned=True)
+        res_min = brute_force_bound(lam, delta, "min", aligned=True)
+        assert res_max.value <= hi + 1e-12
+        assert res_min.value >= lo - 1e-12
 
 
 def test_invalid_parameters_rejected():

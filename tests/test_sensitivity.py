@@ -57,15 +57,6 @@ def test_closed_form_matches_brute_force():
             assert b.upper == pytest.approx(hi, abs=1e-12)
 
 
-def test_aligned_bounds_are_no_wider():
-    for lam, delta in ((1.5, 2.0), (3.0, 1.2), (2.0, 2.0)):
-        free = two_param_bounds(lam, delta)
-        tight = two_param_bounds(lam, delta, aligned=True)
-        assert tight.aligned
-        assert tight.lower >= free.lower - 1e-12
-        assert tight.upper <= free.upper + 1e-12
-
-
 def test_bounds_validation():
     with pytest.raises(ValueError):
         two_param_bounds(0.9, 1.0)
