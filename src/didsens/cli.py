@@ -382,9 +382,12 @@ def read_quadruples_csv(path: str, outcome_kind: str) -> QuadrupleSet:
         _require_columns(reader.fieldnames, id_columns + outcome_columns, path)
         for lineno, row in enumerate(reader, start=2):
             try:
-                outcomes.append([float(row[col]) for col in outcome_columns])
+                values = [float(row[col]) for col in outcome_columns]
             except (TypeError, ValueError):
                 raise DataError(f"line {lineno}: outcome values must be numbers") from None
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"line {lineno}: outcome values must be finite")
+            outcomes.append(values)
             ids.append([row[col] for col in id_columns])
     if not ids:
         raise DataError(f"{path}: no quadruples")

@@ -9,6 +9,7 @@ probability, powers the sensitivity module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,36 @@ class ScoreFunction:
             return q
         if self.kind == "absolute_value":
             return a.copy()
+        raise ValueError(f"unknown score kind {self.kind!r}")
+
+    def estimate(self, d: np.ndarray, p: float) -> float:
+        """Root in tau of: positive-sign score sum of d - tau = p * total score.
+
+        Wilcoxon: that sum counts the N Walsh averages (d_i + d_j)/2, i <= j,
+        above tau, so the root is the midpoint of their order statistics at
+        0-based ranks N - ceil(pN) and N - floor(pN) - 1 (Hodges-Lehmann at
+        p = 1/2).  Absolute values: the expectile tau = mean + c * sum((d -
+        tau)+), c = (1 - 2p)/(p n) (Newey & Powell 1987), d.mean() at p = 1/2.
+        """
+        if d.size == 0:
+            raise DegenerateDataError("no quadruples")
+        if not 0.0 < p < 1.0:
+            raise ValueError("p must lie in (0, 1)")
+        if self.kind == "wilcoxon":
+            i, j = np.triu_indices(d.size)
+            walsh = (d[i] + d[j]) / 2.0
+            t = p * walsh.size
+            lo, hi = walsh.size - math.ceil(t), walsh.size - math.floor(t) - 1
+            walsh = np.partition(walsh, (hi, lo))
+            return float(0.5 * (walsh[lo] + walsh[hi]))
+        if self.kind == "absolute_value":
+            n, mean = d.size, d.mean()
+            c = (1.0 - 2.0 * p) / (p * n)
+            s = np.sort(d)[::-1]
+            top = np.concatenate([[0.0], np.cumsum(s)])
+            # The root lies below the k largest d and at or above the rest.
+            k = int(np.count_nonzero(s - mean - c * (top[:-1] - np.arange(n) * s) > 0))
+            return float(mean + c * (top[k] - k * mean) / (1.0 + c * k))
         raise ValueError(f"unknown score kind {self.kind!r}")
 
 
@@ -252,11 +283,7 @@ def randomization_pvalue(
 
 def hodges_lehmann(quads: QuadrupleSet) -> float:
     """Median of the pairwise Walsh averages (d_i + d_j)/2, i <= j."""
-    d = quads.d_values()
-    if d.size == 0:
-        raise DegenerateDataError("no quadruples")
-    i, j = np.triu_indices(d.size)
-    return float(np.median((d[i] + d[j]) / 2.0))
+    return ScoreFunction.wilcoxon().estimate(quads.d_values(), 0.5)
 
 
 def _bisect(predicate, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -272,12 +299,6 @@ def _bisect(predicate, lo: float, hi: float, tol: float) -> tuple[float, float]:
         else:
             lo = mid
     return lo, hi
-
-
-def _search_span(d: np.ndarray) -> tuple[float, float]:
-    """Shifts far enough outside the contrasts to bracket any boundary in tau."""
-    span = float(d.max() - d.min()) + 1.0
-    return float(d.min()) - span, float(d.max()) + span
 
 
 def invert_ci(
@@ -308,8 +329,10 @@ def invert_ci(
         except DegenerateDataError:
             return 1.0
 
-    lo0, hi0 = _search_span(d)
-    center = float(d.mean()) if score.kind == "absolute_value" else hodges_lehmann(quads)
+    center = score.estimate(d, 0.5)
+    # Shifts far enough outside the contrasts to bracket either endpoint.
+    span = float(d.max() - d.min()) + 1.0
+    lo0, hi0 = float(d.min()) - span, float(d.max()) + span
     lower = -np.inf if p_two(lo0) > alpha else 0.5 * sum(_bisect(lambda t: p_two(t) > alpha, lo0, center, CI_TOL))
     upper = np.inf if p_two(hi0) > alpha else -0.5 * sum(
         _bisect(lambda t: p_two(-t) > alpha, -hi0, -center, CI_TOL)

@@ -25,7 +25,6 @@ from .inference import (
     ScoreFunction,
     TestResult,
     _bisect,
-    _search_span,
     _sided_pvalue,
     _signscore_pvalue,
 )
@@ -184,27 +183,6 @@ def worst_case_pvalue(
     )
 
 
-def _solve_score_equation(d: np.ndarray, score: ScoreFunction, p_target: float, tol: float) -> float:
-    """Solve T(tau) = p_target * (total score at tau) for tau.
-
-    T(tau) is a nonincreasing step function; the solution set is an
-    interval and its midpoint is returned (the Walsh-median convention at
-    p_target = 1/2).
-    """
-
-    def gap(tau: float) -> float:
-        s, q = np.sign(d - tau), score.scores(np.abs(d - tau))
-        total = q.sum()
-        if total == 0:
-            return 0.0
-        return float(q[s > 0].sum() - p_target * total)
-
-    lo0, hi0 = _search_span(d)
-    b_hi = 0.5 * sum(_bisect(lambda t: gap(t) <= 0, lo0, hi0, tol))
-    b_lo = 0.5 * sum(_bisect(lambda t: gap(t) < 0, lo0, hi0, tol))
-    return 0.5 * (b_lo + b_hi)
-
-
 def estimate_bounds(
     quads: QuadrupleSet,
     gamma: float = 1.0,
@@ -214,19 +192,18 @@ def estimate_bounds(
     """Range of score-equation estimates compatible with sign odds gamma^2.
 
     tau_min solves the score equation against the most positive-leaning
-    null expectation, tau_max against the most negative-leaning one.  At
-    gamma = 1 both collapse to the Hodges-Lehmann point (up to bisection
-    tolerance).
+    null expectation, tau_max against the most negative-leaning one, both
+    in closed form by `ScoreFunction.estimate`.  At gamma = 1 both collapse
+    to the score's own estimate: Hodges-Lehmann for ranks, the mean for
+    absolute values.  tol has no effect; acceptance criterion 05 passes it.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     score = score or ScoreFunction.wilcoxon()
     d = quads.d_values()
-    if d.size == 0:
-        raise DegenerateDataError("no quadruples")
     p_lo, p_hi = one_param_bounds(gamma)
-    tau_min = _solve_score_equation(d, score, p_hi, tol)
-    tau_max = _solve_score_equation(d, score, p_lo, tol)
+    tau_min, tau_max = score.estimate(d, p_hi), score.estimate(d, p_lo)
+    # On all-equal d the two roots differ only by rounding, in either order.
     return (min(tau_min, tau_max), max(tau_min, tau_max))
 
 

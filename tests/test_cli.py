@@ -360,6 +360,24 @@ def test_binary_without_eligible_quadruples_exits_4(tmp_path, capsys):
     assert "no informative quadruples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_quadruple_outcome_exits_4(tmp_path, capsys, bad):
+    quads = tmp_path / "quadruples.csv"
+    _write_binary_quadruples(quads, n_pos=20, n_neg=10)
+    lines = quads.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[6] = bad
+    lines[3] = ",".join(cells)
+    quads.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", tmp_path / "unused.csv", out)
+    for verb in ("test", "sens"):
+        assert cli.main([verb, "--config", str(config), "--quadruples", str(quads)]) == 4
+        err = capsys.readouterr().err
+        assert "line 4" in err and "finite" in err
+    assert not out.exists()
+
+
 def test_kind_test_mismatch_exits_2(matched, capsys):
     config, _ = matched
     assert cli.main(["test", "--config", str(config), "--test", "mcnemar"]) == 2

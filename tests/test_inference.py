@@ -185,6 +185,24 @@ def test_absolute_value_ci_endpoints_bracket_alpha_on_skewed_data():
     assert p_two(hi - CI_TOL) > 0.05 >= p_two(hi + CI_TOL)
 
 
+@pytest.mark.parametrize("kind", ["wilcoxon", "absolute_value"])
+def test_empty_set_has_no_estimate_or_interval(kind):
+    empty = quadset_from_d([])
+    with pytest.raises(DegenerateDataError, match="^no quadruples$"):
+        invert_ci(empty, score=ScoreFunction(kind))
+    with pytest.raises(DegenerateDataError, match="^no quadruples$"):
+        ScoreFunction(kind).estimate(empty.d_values(), 0.5)
+    with pytest.raises(DegenerateDataError, match="^no quadruples$"):
+        hodges_lehmann(empty)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+def test_estimate_needs_p_strictly_between_zero_and_one(p):
+    # gamma above about 1e8 rounds the upper sign probability to 1.0
+    with pytest.raises(ValueError, match="p must lie"):
+        ScoreFunction.wilcoxon().estimate(np.array([1.0, 2.0]), p)
+
+
 def test_ci_unbounded_when_too_few_quadruples():
     lo, hi = invert_ci(quadset_from_d([1.0, 2.0]), alpha=0.05)
     assert lo == -math.inf

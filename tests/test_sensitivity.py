@@ -152,14 +152,74 @@ def test_estimate_bounds_collapse_and_nesting():
     qs = quadset_from_d(d)
     lo1, hi1 = estimate_bounds(qs, gamma=1.0, tol=1e-7)
     hl = hodges_lehmann(qs)
-    assert lo1 == pytest.approx(hl, abs=1e-4)
-    assert hi1 == pytest.approx(hl, abs=1e-4)
+    assert lo1 == hi1 == hl
     prev = (lo1, hi1)
     for g in (1.2, 1.5, 2.0):
         lo, hi = estimate_bounds(qs, gamma=g)
         assert lo <= hi
         assert lo <= prev[0] + 1e-9 and hi >= prev[1] - 1e-9
         prev = (lo, hi)
+
+
+def test_permutational_t_estimate_bounds_collapse_to_the_mean():
+    rng = np.random.default_rng(12)
+    for d in (rng.normal(1.0, 2.0, 9), rng.lognormal(size=40), np.full(7, 0.1), np.array([-2.5])):
+        qs = quadset_from_d(d.tolist())
+        mean = float(qs.d_values().mean())
+        assert estimate_bounds(qs, gamma=1.0, score=ScoreFunction.absolute_value()) == (mean, mean)
+
+
+def _rank_gap(d, tau, p):
+    """Positive-sign rank sum of d - tau minus p times the total, as the score equation has it."""
+    q = ScoreFunction.wilcoxon().scores(np.abs(d - tau))
+    return q[d - tau > 0].sum() - p * q.sum()
+
+
+def _expectile_gap(d, tau, p):
+    return np.maximum(d - tau, 0.0).sum() - p * np.abs(d - tau).sum()
+
+
+_ESTIMATE_DATA = {
+    "single": np.array([0.7]),
+    "all_equal": np.full(12, 0.3),
+    "rounded": np.round(np.random.default_rng(5).normal(1.0, 2.0, 40)),
+    "with_zeros": np.r_[np.zeros(6), np.round(np.random.default_rng(6).normal(0.5, 1.0, 25), 1)],
+    "lognormal": np.random.default_rng(7).lognormal(size=33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATE_DATA))
+@pytest.mark.parametrize("gamma", [1.0, 1.1, 1.5, 3.0])
+def test_estimate_bounds_equal_brute_force_closed_forms(name, gamma):
+    qs = quadset_from_d(_ESTIMATE_DATA[name].tolist())
+    d = qs.d_values()
+    p_lo, p_hi = one_param_bounds(gamma)
+    i, j = np.triu_indices(d.size)
+    walsh = np.sort((d[i] + d[j]) / 2.0)
+    n_walsh = walsh.size
+    spread = float(d.max() - d.min()) + 1.0
+    expectiles = []
+    for p in (p_hi, p_lo):
+        # Signed rank: the midpoint of two Walsh order statistics ...
+        t = p * n_walsh
+        a, b = walsh[n_walsh - math.ceil(t)], walsh[n_walsh - math.floor(t) - 1]
+        assert ScoreFunction.wilcoxon().estimate(d, p) == 0.5 * (a + b)
+        # ... that bracket the sign change of the rank-score equation.
+        below, above = walsh[walsh < a], walsh[walsh > b]
+        below = below[-1] if below.size else a - 1.0
+        above = above[0] if above.size else b + 1.0
+        assert _rank_gap(d, 0.5 * (below + a), p) >= 0 >= _rank_gap(d, 0.5 * (b + above), p)
+        if a < b:
+            assert _rank_gap(d, 0.5 * (a + b), p) == 0
+        # Absolute values: the root of the expectile equation.
+        tau = ScoreFunction.absolute_value().estimate(d, p)
+        step = 1e-9 * spread
+        assert _expectile_gap(d, tau - step, p) > 0 > _expectile_gap(d, tau + step, p)
+        assert abs(_expectile_gap(d, tau, p)) <= 1e-12 * np.abs(d).sum() * d.size
+        expectiles.append(tau)
+    wilcoxon_bounds = sorted(ScoreFunction.wilcoxon().estimate(d, p) for p in (p_hi, p_lo))
+    assert estimate_bounds(qs, gamma) == tuple(wilcoxon_bounds)
+    assert estimate_bounds(qs, gamma, ScoreFunction.absolute_value()) == (min(expectiles), max(expectiles))
 
 
 def test_changepoint_all_positive_closed_form():
