@@ -87,8 +87,7 @@ class ScoreFunction:
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
         if self.kind == "wilcoxon":
-            i, j = np.triu_indices(d.size)
-            walsh = (d[i] + d[j]) / 2.0
+            walsh = ((d[:, None] + d) / 2.0)[np.tri(d.size, dtype=bool)]
             t = p * walsh.size
             lo, hi = walsh.size - math.ceil(t), walsh.size - math.floor(t) - 1
             walsh = np.partition(walsh, (hi, lo))
