@@ -344,6 +344,8 @@ def _write_balance_csv(path: Path, reports: list) -> None:
         "p_before",
         "std_diff_after",
         "p_after",
+        "draws_before",
+        "draws_after",
         "note",
         "n_treated_before",
         "n_control_before",
@@ -360,6 +362,8 @@ def _write_balance_csv(path: Path, reports: list) -> None:
                     repr(float(r.p_before)),
                     repr(float(r.std_diff_after)),
                     repr(float(r.p_after)),
+                    r.draws_before,
+                    r.draws_after,
                     r.note,
                     rep.n_treated_before,
                     rep.n_control_before,

@@ -105,6 +105,8 @@ class BalanceRow:
     p_before: float
     std_diff_after: float
     p_after: float
+    draws_before: int
+    draws_after: int
     note: str = ""
 
 
@@ -740,8 +742,10 @@ def cross_period_match(
 
 # Uniforms per block of permutation draws (512 KiB of float64 per buffer).
 _BLOCK_VALUES = 1 << 16
-# Seeded permutation draws behind every balance p-value.
+# Seeded permutation draws behind every balance p-value, at most.
 PERMUTATION_DRAWS = 10_000
+# Hits that settle a balance p-value before PERMUTATION_DRAWS.
+_SETTLE_HITS = 20
 
 
 def _treated_sums(r: np.ndarray, n_a: int, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -772,7 +776,7 @@ def _permutation_pvalues(
     ib: np.ndarray,
     seed: int,
     draws: int,
-) -> dict[str, float]:
+) -> dict[str, tuple[float, int]]:
     """Two-sample permutation p-values, shared draws across covariates.
 
     features[name] lists (column, scale) pairs over all units; the
@@ -786,7 +790,14 @@ def _permutation_pvalues(
     _BLOCK_VALUES uniforms, filled into two buffers made once per call, so
     memory use stays small and does not depend on the allocator's history;
     the block size does not change the draws.  All treated sums of a block
-    come from one matrix product.  Add-one convention.
+    come from one matrix product.
+
+    Returns name -> (p-value, draws read for it).  A draw hits when its
+    statistic is >= observed - 1e-12.  Sequential stop (Besag & Clifford
+    1991): at the draw L that brings a covariate's hits to _SETTLE_HITS its
+    p-value is _SETTLE_HITS / L; a covariate that never gets there reads
+    all draws and takes the add-one (1 + hits) / (draws + 1).  Reading
+    stops after the block in which the last covariate settles.
     """
     rng = np.random.default_rng(seed)
     pool = np.concatenate([ia, ib])
@@ -804,21 +815,28 @@ def _permutation_pvalues(
     obs = {name: diffs[slot].max(initial=0.0) for name, slot in slots.items()}
     total = np.array([col.sum() for col in cols])
     x = np.column_stack(cols + [np.ones(n)])
-    exceed = dict.fromkeys(features, 0)
+    hits = dict.fromkeys(features, 0)
+    settled: dict[str, tuple[float, int]] = {}
 
     rows = max(1, _BLOCK_VALUES // n)
     r = np.empty((min(rows, draws), n))
     mask = np.empty_like(r)
     done = 0
-    while done < draws:
+    while done < draws and len(settled) < len(slots):
         b = min(rows, draws - done)
         rng.random(out=r[:b])
         s_a = _treated_sums(r[:b], n_a, x, mask[:b])[:, :-1]
         stats = np.abs(s_a / n_a - (total - s_a) / (n - n_a)) / divisor
         for name, slot in slots.items():
-            exceed[name] += int((stats[:, slot].max(axis=1, initial=0.0) >= obs[name] - 1e-12).sum())
+            if name in settled:
+                continue
+            running = hits[name] + np.cumsum(stats[:, slot].max(axis=1, initial=0.0) >= obs[name] - 1e-12)
+            hits[name] = int(running[-1])
+            if hits[name] >= _SETTLE_HITS:
+                stop = done + int(np.argmax(running >= _SETTLE_HITS)) + 1
+                settled[name] = (_SETTLE_HITS / stop, stop)
         done += b
-    return {name: (1 + exceed[name]) / (draws + 1) for name in features}
+    return {name: settled.get(name, ((1 + hits[name]) / (draws + 1), draws)) for name in features}
 
 
 def _balance_rows(
@@ -859,15 +877,17 @@ def _balance_rows(
             ]
     seq = np.random.SeedSequence(seed)
     seed_before, seed_after = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-    p_before = _permutation_pvalues(features, ia_before, ib_before, seed_before, draws)
-    p_after = _permutation_pvalues(features, ia_after, ib_after, seed_after, draws)
+    before = _permutation_pvalues(features, ia_before, ib_before, seed_before, draws)
+    after = _permutation_pvalues(features, ia_after, ib_after, seed_after, draws)
     return [
         BalanceRow(
             covariate=name,
             std_diff_before=sds_before[name],
-            p_before=p_before[name],
+            p_before=before[name][0],
             std_diff_after=sds_after[name],
-            p_after=p_after[name],
+            p_after=after[name][0],
+            draws_before=before[name][1],
+            draws_after=after[name][1],
             note=notes[name],
         )
         for name in sorted(columns)

@@ -228,8 +228,8 @@ def mcnemar_tail_exact(
 
 
 def permutation_balance_pvalues(
-    columns, kinds, ia, ib, seed: int, draws: int, scale_groups=None
-) -> dict[str, float]:
+    columns, kinds, ia, ib, seed: int, draws: int, scale_groups=None, settle_hits: int = 20
+) -> dict[str, tuple[float, int]]:
     """Two-sample permutation p-values of a balance report, one draw at a time.
 
     The pooled units are ia followed by ib.  Draw d reads rng.random(n) from
@@ -238,8 +238,10 @@ def permutation_balance_pvalues(
     nominal covariate's is the max, over categories whose indicator has a
     positive pooled SD over scale_groups (default (ia, ib)), of the
     indicator's |mean_a - mean_b| / that SD; with no such category it is 0.
-    A draw counts when its statistic is >= observed - 1e-12; add-one
-    p-values.
+    A draw hits when its statistic is >= observed - 1e-12.  Returns name ->
+    (p-value, draws read): a covariate stops at the draw L of its
+    settle_hits-th hit with p-value settle_hits / L; otherwise it reads all
+    draws and takes the add-one (1 + hits) / (draws + 1).
     """
 
     def variance(values):
@@ -272,14 +274,21 @@ def permutation_balance_pvalues(
         return max((statistic(v, treated) / sd for v, sd in features[name]), default=0.0)
 
     observed = {name: max_statistic(name, set(range(n_a))) for name in features}
-    exceed = dict.fromkeys(features, 0)
+    hits = dict.fromkeys(features, 0)
+    result = {}
     rng = np.random.default_rng(seed)
-    for _ in range(draws):
+    for d in range(1, draws + 1):
+        if len(result) == len(features):
+            break
         treated = set(np.argsort(rng.random(len(pool)))[:n_a].tolist())
         for name in features:
-            if max_statistic(name, treated) >= observed[name] - 1e-12:
-                exceed[name] += 1
-    return {name: (1 + exceed[name]) / (draws + 1) for name in features}
+            if name not in result and max_statistic(name, treated) >= observed[name] - 1e-12:
+                hits[name] += 1
+                if hits[name] == settle_hits:
+                    result[name] = (settle_hits / d, d)
+    for name in features:
+        result.setdefault(name, ((1 + hits[name]) / (draws + 1), draws))
+    return {name: result[name] for name in features}
 
 
 def repair_and_augment_reference(stage, pairs):

@@ -11,9 +11,13 @@ from didsens.errors import ConfigError, InfeasibleMatchError, StructuralError
 from didsens.matching import (
     BalanceSpec,
     NominalRule,
+    PERMUTATION_DRAWS,
+    _BLOCK_VALUES,
+    _SETTLE_HITS,
     _StageData,
     _balance_rows,
     _max_cardinality_match,
+    _permutation_pvalues,
     _rank_mahalanobis,
     _repair_and_augment,
     _treated_sums,
@@ -439,10 +443,14 @@ def test_cross_balance_report_uses_pair_features():
     assert rep.n_matched == len(quads)
 
 
-@pytest.mark.parametrize("n_a, n_b, draws", [(15, 25, 2300), (1, 19, 400), (19, 1, 400), (8, 30, 400)])
-def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
-    # 2300 draws cross a block boundary (1638 rows at n = 40); "w" has tied values,
-    # "zone" has a category with zero pooled SD, "const" a single label.
+def _balance_case(n_a, n_b):
+    """Columns, kinds and before/after index sets for the reference checks.
+
+    "w" has tied values, "zone" has a category with zero pooled SD, "const" a
+    single label; "far" is shifted too far to settle within 2300 draws, and
+    at n_a = 15, n_b = 25 "mid" settles "before" at draw 2072, past the first
+    block of 1638 rows.
+    """
     g = np.random.default_rng(n_a * 100 + n_b)
     n = n_a + n_b
     columns = {
@@ -452,21 +460,49 @@ def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
         "zone": np.array(["v" if i % 2 else "w" for i in range(n_a)] + ["u"] * n_b, dtype=object),
         "const": np.array(["k"] * n, dtype=object),
     }
-    kinds = {"x": "continuous", "w": "continuous", "site": "nominal", "zone": "nominal",
-             "const": "nominal"}
+    shift = (np.arange(n) < n_a).astype(float)
+    columns["far"] = g.normal(size=n) + 2.0 * shift
+    columns["mid"] = g.normal(size=n) + 0.97 * shift
+    kinds = {name: "nominal" if col.dtype == object else "continuous" for name, col in columns.items()}
     ia0 = np.arange(n_a)
     ib0 = np.arange(n_a, n)
-    ia1 = ia0[: max(1, 3 * n_a // 4)]
-    ib1 = ib0[::2]
-    rows = _balance_rows(columns, kinds, ia0, ib0, ia1, ib1, seed=11, draws=draws)
+    return columns, kinds, (ia0, ib0), (ia0[: max(1, 3 * n_a // 4)], ib0[::2])
+
+
+def _balance_rows_and_reference(n_a, n_b, draws):
+    columns, kinds, before, after = _balance_case(n_a, n_b)
+    rows = _balance_rows(columns, kinds, *before, *after, seed=11, draws=draws)
     s0, s1 = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(11).spawn(2)]
-    ref0 = oracles.permutation_balance_pvalues(columns, kinds, ia0, ib0, s0, draws)
-    ref1 = oracles.permutation_balance_pvalues(
-        columns, kinds, ia1, ib1, s1, draws, scale_groups=(ia0, ib0)
+    ref0 = oracles.permutation_balance_pvalues(
+        columns, kinds, *before, s0, draws, settle_hits=_SETTLE_HITS
     )
-    assert {r.covariate: r.p_before for r in rows} == ref0
-    assert {r.covariate: r.p_after for r in rows} == ref1
-    assert ref0["const"] == ref1["const"] == 1.0
+    ref1 = oracles.permutation_balance_pvalues(
+        columns, kinds, *after, s1, draws, scale_groups=before, settle_hits=_SETTLE_HITS
+    )
+    return {r.covariate: r for r in rows}, ref0, ref1
+
+
+@pytest.mark.parametrize("n_a, n_b, draws", [(15, 25, 2300), (1, 19, 400), (19, 1, 400), (8, 30, 400)])
+def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
+    # 2300 draws cross a block boundary (1638 rows at n = 40).
+    rows, ref0, ref1 = _balance_rows_and_reference(n_a, n_b, draws)
+    assert {name: (r.p_before, r.draws_before) for name, r in rows.items()} == ref0
+    assert {name: (r.p_after, r.draws_after) for name, r in rows.items()} == ref1
+    assert ref0["const"] == ref1["const"] == (1.0, _SETTLE_HITS)
+    if draws == 2300:
+        block = _BLOCK_VALUES // (n_a + n_b)
+        assert rows["x"].draws_before <= block < rows["mid"].draws_before < draws
+        assert rows["far"].draws_before == rows["far"].draws_after == draws
+
+
+def test_balance_pvalue_settled_on_the_last_draw():
+    # Cap the draws at the one where "mid" settles: its p-value is h / L, not
+    # the add-one p-value of a covariate that ran to the cap.
+    last = _balance_rows_and_reference(15, 25, 2300)[0]["mid"].draws_before
+    rows, ref0, _ = _balance_rows_and_reference(15, 25, last)
+    assert (rows["mid"].p_before, rows["mid"].draws_before) == ref0["mid"] == (_SETTLE_HITS / last, last)
+    assert rows["far"].draws_before == last
+    assert {name: (r.p_before, r.draws_before) for name, r in rows.items()} == ref0
 
 
 @pytest.mark.parametrize("n_a", [1, 3, 5])
@@ -484,3 +520,25 @@ def test_treated_sums_select_exactly_n_a_under_ties(n_a):
         assert set(np.flatnonzero(mask[d])) == set(np.argsort(r[d])[:n_a])
     for d in (4, 5):
         assert r[d][mask[d] == 1].max() <= r[d][mask[d] == 0].min()
+
+
+def test_sequential_balance_pvalues_are_valid_under_random_labels():
+    # 1000 datasets of 20 vs 30 units with random labels.  Rejection counts at
+    # alpha = 0.05 and 0.2 must lie in the two-sided binomial band at tail 1e-4;
+    # tied statistics make the binary indicator conservative, so only its upper
+    # end is checked.
+    from scipy.stats import binom
+
+    g = np.random.default_rng(2024)
+    reps, alphas = 1000, (0.05, 0.2)
+    rejections = {"x": Counter(), "b": Counter()}
+    for rep in range(reps):
+        order = g.permutation(50)
+        ia, ib = np.sort(order[:20]), np.sort(order[20:])
+        features = {"x": [(g.normal(size=50), 1.0)], "b": [((g.random(50) < 0.3).astype(float), 1.0)]}
+        for name, (p, _) in _permutation_pvalues(features, ia, ib, rep, PERMUTATION_DRAWS).items():
+            rejections[name].update(alpha for alpha in alphas if p <= alpha)
+    for alpha in alphas:
+        lo, hi = binom.ppf(1e-4, reps, alpha), binom.isf(1e-4, reps, alpha)
+        assert lo <= rejections["x"][alpha] <= hi
+        assert rejections["b"][alpha] <= hi
