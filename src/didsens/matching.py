@@ -917,7 +917,9 @@ def _report(
     ib_before = np.arange(n_a, len(all_rows), dtype=np.int64)
     ia_after = np.array([i for i, _ in index_pairs], dtype=np.int64)
     ib_after = np.array([n_a + j for _, j in index_pairs], dtype=np.int64)
-    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, seed, PERMUTATION_DRAWS)
+    # Each stage reads its own stream, so equal pooled sizes never share draws.
+    stage_seed = int(np.random.SeedSequence(seed, spawn_key=tuple(stage.encode())).generate_state(1)[0])
+    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, stage_seed, PERMUTATION_DRAWS)
     return BalanceReport(
         stage=stage,
         rows=tuple(rows),

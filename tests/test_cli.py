@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from didsens import cli
+from didsens import cli, matching
 from didsens.cli import read_quadruples_csv
 from didsens.sensitivity import changepoint_gamma, sate_pvalue
 
@@ -102,6 +102,24 @@ def test_match_is_byte_deterministic(tmp_path):
         outs.append(out)
     for name in ("pairs_pre.csv", "pairs_post.csv", "quadruples.csv", "balance.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_match_balance_reports_read_one_stream_each(tmp_path, monkeypatch):
+    # Both periods have 14 treated and 20 controls, so reports that shared a
+    # seed would share their permutation draws.
+    seeds = []
+    permutation_pvalues = matching._permutation_pvalues
+
+    def spy(features, ia, ib, seed, draws):
+        seeds.append(seed)
+        return permutation_pvalues(features, ia, ib, seed, draws)
+
+    monkeypatch.setattr(matching, "_permutation_pvalues", spy)
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    config = write_config(tmp_path / "config.yaml", data, tmp_path / "out")
+    assert cli.main(["match", "--config", str(config)]) == 0
+    assert len(seeds) == len(set(seeds)) == 6  # before and after of three stages
 
 
 @pytest.mark.parametrize("site", [{"role": "nominal"}, {"role": "nominal", "balance": "none"}])
