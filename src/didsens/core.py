@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import DataError, StructuralError
 
 VALID_OUTCOME_KINDS = ("continuous", "binary")
 
@@ -97,7 +97,7 @@ class QuadrupleSet:
 
     ids and outcomes are (n, 4) arrays whose columns follow SLOTS; d holds
     each row's contrast (post treated - post control) - (pre treated - pre
-    control).  All three are read-only.
+    control), which must be finite.  All three are read-only.
     """
 
     ids: np.ndarray
@@ -118,6 +118,9 @@ class QuadrupleSet:
         if (counts > 1).any():
             raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")
         d = (y[:, 2] - y[:, 3]) - (y[:, 0] - y[:, 1])
+        if not np.isfinite(d).all():
+            row = int(np.flatnonzero(~np.isfinite(d))[0])
+            raise DataError(f"quadruple row {row}: contrast d = {float(d[row])} is not finite")
         d.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "outcomes", y)

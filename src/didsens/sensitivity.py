@@ -202,6 +202,10 @@ def estimate_bounds(
     score = score or ScoreFunction.wilcoxon()
     d = quads.d_values()
     p_lo, p_hi = one_param_bounds(gamma)
+    if d.size and not p_hi < 1.0:
+        # gamma^2 / (1 + gamma^2) rounds to 1 above gamma ~ 1e8: both closed
+        # forms have reached their limits, min d and max d.
+        return (float(d.min()), float(d.max()))
     tau_min, tau_max = score.estimate(d, p_hi), score.estimate(d, p_lo)
     # On all-equal d the two roots differ only by rounding, in either order.
     return (min(tau_min, tau_max), max(tau_min, tau_max))

@@ -190,6 +190,17 @@ def test_sens_gamma_override(matched):
     assert [row["gamma"] for row in report["grid"]] == [1.1, 1.5]
 
 
+def test_sens_at_huge_gamma_bounds_estimates_by_the_range_of_d(matched):
+    # gamma^2 / (1 + gamma^2) rounds to 1 at gamma = 1e9.
+    config, out = matched
+    assert cli.main(["sens", "--config", str(config), "--gammas", "1e9"]) == 0
+    report = json.loads((out / "sens_report.json").read_text())
+    _validate(report)
+    d = read_quadruples_csv(str(out / "quadruples.csv"), "continuous").d_values()
+    [row] = report["grid"]
+    assert (row["bound_lower"], row["bound_upper"]) == (float(d.min()), float(d.max()))
+
+
 def test_sate_sens_changepoint_brackets_alpha(matched):
     config, out = matched
     assert cli.main(["sens", "--config", str(config), "--test", "sate"]) == 0

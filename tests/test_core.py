@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from didsens.core import MatchedPair, QuadrupleSet, validate_dataset
-from didsens.errors import StructuralError
+from didsens.errors import DataError, StructuralError
 
 from conftest import binary_quadset, quadset_from_d, unit
 
@@ -135,3 +135,10 @@ def test_validate_dataset_binary_outcomes():
 def test_binary_quadset_contrasts():
     qs = binary_quadset([(1, 0, 0, 1), (0, 1, 1, 0)])
     assert qs.d_values().tolist() == [(0 - 1) - (1 - 0), (1 - 0) - (0 - 1)]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_quadruple_set_rejects_non_finite_contrasts(bad):
+    # A non-finite contrast would leave invert_ci bisecting an infinite span.
+    with pytest.raises(DataError, match="quadruple row 2: contrast d = .* is not finite"):
+        quadset_from_d([1.0, 2.0, bad, 3.0, 0.5])

@@ -222,6 +222,19 @@ def test_estimate_bounds_equal_brute_force_closed_forms(name, gamma):
     assert estimate_bounds(qs, gamma, ScoreFunction.absolute_value()) == (min(expectiles), max(expectiles))
 
 
+@pytest.mark.parametrize("gamma", [1e8, 1e9, 1e200])
+def test_estimate_bounds_at_huge_gamma_are_the_range_of_d(gamma):
+    # The upper sign probability rounds to 1 here; both closed forms tend to
+    # (min d, max d) as gamma grows, and reach it exactly by gamma = 1e7.
+    d = _ESTIMATE_DATA["rounded"]
+    qs = quadset_from_d(d.tolist())
+    for score in (ScoreFunction.wilcoxon(), ScoreFunction.absolute_value()):
+        assert estimate_bounds(qs, gamma, score) == (d.min(), d.max())
+    assert estimate_bounds(qs, 1e7) == (d.min(), d.max())
+    with pytest.raises(ValueError, match="p must lie"):
+        ScoreFunction.wilcoxon().estimate(d, one_param_bounds(gamma)[1])
+
+
 def test_changepoint_all_positive_closed_form():
     # with every contrast positive the worst-case tail is p+^n, so the
     # changepoint solves p+^10 = alpha
