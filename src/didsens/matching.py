@@ -938,8 +938,10 @@ def balance_report(
 
     "Before" compares all treated to all control records; "after" compares
     the matched units.  Standardized differences use the full-sample
-    pooled SD throughout; p-values are two-sample permutation tests with
-    PERMUTATION_DRAWS seeded draws.
+    pooled SD throughout; p-values are two-sample permutation tests on a
+    stream seeded by seed and the stage name.  Each stops once it has
+    _SETTLE_HITS hits, else at PERMUTATION_DRAWS draws; draws_before and
+    draws_after record where.
     """
     records = list(records)
     kinds = validate_dataset(records)
