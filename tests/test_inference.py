@@ -129,6 +129,19 @@ def test_irrational_scores_fall_back_to_enumeration():
     assert res.p_value == pytest.approx(dist.tail_geq(t), abs=1e-12)
 
 
+def test_integer_scores_past_the_dp_cap_use_normal_approximation():
+    # 1500 distinct magnitudes: the signed ranks sum to 1,125,750 > DP_MAX_TOTAL.
+    d = np.arange(1, 1501, dtype=float) * np.where(np.arange(1500) % 3, 1.0, -1.0)
+    assert np.arange(1, 1501).sum() > inference.DP_MAX_TOTAL
+    res = randomization_pvalue(quadset_from_d(d.tolist()))
+    assert res.method == "wilcoxon:normal"
+    q = np.arange(1, 1501, dtype=float)
+    t = float(q[d > 0].sum())
+    z = (t - 0.5 * q.sum()) / math.sqrt(0.25 * np.sum(q**2))
+    assert res.statistic == t
+    assert res.p_value == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-9)
+
+
 def test_large_irrational_scores_use_normal_approximation():
     rng = np.random.default_rng(5)
     d = (rng.normal(0.3, 1.0, 60) + rng.uniform(0, 1e-9, 60)).tolist()

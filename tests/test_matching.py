@@ -199,6 +199,19 @@ def test_caliper_can_exclude_every_edge():
         within_period_match(records, spec)
 
 
+def test_caliper_is_a_penalty_under_min_distance():
+    # Every rank distance is at least 1 / sqrt(2.5) = 0.632, above the caliper:
+    # maximize_pairs has no edge left, minimize_total_distance still matches
+    # every treated unit, as the BalanceSpec docstring allows.
+    records = _period1([(1, {"x": 0.0}), (1, {"x": 10.0}), (0, {"x": 0.1}), (0, {"x": 0.2}), (0, {"x": 0.3})])
+    with pytest.raises(InfeasibleMatchError, match=r"no admissible treated-control edges \(binding: caliper\)"):
+        within_period_match(records, BalanceSpec(caliper=0.5))
+    pairs = within_period_match(records, BalanceSpec(caliper=0.5, objective="minimize_total_distance"))
+    assert [(p.treated.id, p.control.id) for p in pairs] == [("t0", "c2"), ("t1", "c4")]
+    dist = _rank_mahalanobis(np.array([[0.0], [10.0]]), np.array([[0.1], [0.2], [0.3]]))
+    assert dist[0, 0] == pytest.approx(0.632, abs=1e-3) and dist[1, 2] == pytest.approx(0.632, abs=1e-3)
+
+
 def test_min_distance_is_optimal_against_enumeration(rng):
     n_t, n_c = 4, 6
     covs = [{"x": float(v[0]), "y": float(v[1])} for v in rng.normal(0, 1, (n_t + n_c, 2))]
@@ -404,6 +417,17 @@ def test_cross_stage_infeasibility_names_the_stage(rule, pre_labels, treated, co
     )
 
 
+def test_cross_period_match_swaps_roles_under_min_distance():
+    # Three period-1 pairs, two period-2 pairs: the period-2 pairs take the
+    # treated role, and the index pairs come back as (period-1, period-2).
+    pre = [_pair(i, 1, "north", x, x) for i, x in enumerate([1.0, 2.0, 3.0])]
+    post = [_pair(i, 2, "north", x, x) for i, x in enumerate([1.2, 1.1])]
+    quads, details = cross_period_match(pre, post, BalanceSpec(objective="minimize_total_distance"))
+    assert details.index_pairs == ((0, 1), (1, 0))
+    assert quads.ids[:, 0].tolist() == ["p1t0", "p1t1"]
+    assert quads.ids[:, 2].tolist() == ["p2t1", "p2t0"]
+
+
 def test_cross_period_match_needs_pairs():
     with pytest.raises(InfeasibleMatchError):
         cross_period_match([], [_pair(0, 2, "north", 1.0, 1.0)], BalanceSpec())
@@ -430,6 +454,22 @@ def test_balance_report_shape_and_determinism():
         assert 0.0 <= row.p_after <= 1.0
     rep2 = balance_report(records, pairs, seed=3)
     assert rep2 == rep
+
+
+def test_balance_report_notes_zero_pooled_sd():
+    # "k" is constant within each arm but differs between the arms.
+    records = _period1([
+        (1, {"k": 1.0, "x": 0.2}),
+        (1, {"k": 1.0, "x": 1.4}),
+        (0, {"k": 2.0, "x": 0.1}),
+        (0, {"k": 2.0, "x": 1.1}),
+        (0, {"k": 2.0, "x": 2.5}),
+    ])
+    pairs = within_period_match(records, BalanceSpec())
+    rows = {r.covariate: r for r in balance_report(records, pairs, seed=2).rows}
+    assert rows["k"].note == "zero pooled SD"
+    assert rows["k"].std_diff_before == rows["k"].std_diff_after == math.inf
+    assert rows["x"].note == ""
 
 
 def test_cross_balance_report_uses_pair_features():

@@ -28,6 +28,20 @@ def test_generators_are_reproducible_bit_for_bit():
     assert not _equal(generate_continuous(c, seed=5), generate_continuous(c, seed=6))
 
 
+def test_uniform_hidden_trait_is_continuous():
+    # With assignment and outcome signs both following du2 steeply, a contrast
+    # is positive unless du2 is near 0: almost always under uniform u, but at
+    # the Bernoulli corners du2 = 0 for half the quadruples.
+    def positive_share(u_dist):
+        design = ContinuousDesign(n_quadruples=400, lambda2=200.0, delta2=200.0, u_dist=u_dist)
+        return float((quadruples_from_records(generate_continuous(design, seed=1)).d_values() > 0).mean())
+
+    uniform = ContinuousDesign(n_quadruples=40, u_dist="uniform")
+    assert _equal(generate_continuous(uniform, seed=5), generate_continuous(uniform, seed=5))
+    assert positive_share("uniform") > 0.95
+    assert 0.6 < positive_share("bernoulli") < 0.9
+
+
 def test_record_structure_round_trips():
     design = ContinuousDesign(n_quadruples=25, tau=0.5)
     z, outcomes = generate_continuous(design, seed=2)
