@@ -117,7 +117,8 @@ class QuadrupleSet:
         units, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")
-        d = (y[:, 2] - y[:, 3]) - (y[:, 0] - y[:, 1])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as DataError below
+            d = (y[:, 2] - y[:, 3]) - (y[:, 0] - y[:, 1])
         if not np.isfinite(d).all():
             row = int(np.flatnonzero(~np.isfinite(d))[0])
             raise DataError(f"quadruple row {row}: contrast d = {float(d[row])} is not finite")

@@ -183,7 +183,8 @@ def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: boo
     """One tail of the null distribution of the positive-sign score sum.
 
     Routes: exact DP over integer-scaled scores, exhaustive enumeration for
-    small n, else a normal approximation without continuity correction.
+    n <= ENUM_MAX_N (O(2**n) memory), else a normal approximation without
+    continuity correction.
     The DP runs once per (score multiset, p_plus), in ascending score order
     (see `_null_pmf`).
     """
@@ -200,11 +201,11 @@ def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: boo
             p = float(pmf[: min(k, len(pmf) - 1) + 1].sum()) if k >= 0 else 0.0
         return min(p, 1.0), "dp"
     if n <= ENUM_MAX_N:
-        idx = np.arange(2**n, dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(n)) & 1
-        vals = bits @ q_active
-        k = bits.sum(axis=1)
-        probs = p_plus**k * (1.0 - p_plus) ** (n - k)
+        # All 2**n subset sums and their probabilities, doubled one score at a time.
+        vals, probs = np.zeros(1), np.ones(1)
+        for q in q_active:
+            vals = np.concatenate([vals, vals + q])
+            probs = np.concatenate([probs * (1.0 - p_plus), probs * p_plus])
         if greater:
             p = float(probs[vals >= t_obs - 1e-9].sum())
         else:

@@ -4,6 +4,12 @@ Stage 1 pairs treated to control units within period 1, stage 2 within
 period 2, and stage 3 matches period-1 pairs to period-2 pairs on
 pair-level summaries, yielding the quadruples that inference consumes.
 
+Each stage is one column table (_StageData) over its treated-role units
+and then its control-role units: a continuous covariate is a float64
+column, a nominal one integer codes into its sorted labels.  The solver,
+the constraint repair and the stage's balance report all read these
+columns.
+
 Distances are rank-based Mahalanobis distances over the continuous
 covariates.  Balance constraints come in three flavors: per-covariate
 caps on the absolute standardized difference, exact agreement on nominal
@@ -29,6 +35,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,22 +141,26 @@ def pooled_sd(column: np.ndarray, group_a: np.ndarray, group_b: np.ndarray) -> f
     return float(np.sqrt(0.5 * (va + vb)))
 
 
+def _std_diff(column: np.ndarray, group_a: np.ndarray, group_b: np.ndarray, scale: float) -> float:
+    """(mean_a - mean_b) / scale; at zero scale 0/0 gives 0 and d/0 gives +inf."""
+    diff = float(column[group_a].mean() - column[group_b].mean())
+    if scale == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return diff / scale
+
+
 def standardized_difference(
     column: np.ndarray, group_a: np.ndarray, group_b: np.ndarray, scale: float
 ) -> float:
-    """(mean_a - mean_b) / scale, with a +inf sentinel at zero scale.
+    """(mean_a - mean_b) / scale, with a +inf sentinel (and a warning) at zero scale.
 
     The scale is supplied by the caller so that before/after comparisons
     share the full-sample pooled SD.
     """
-    column = np.asarray(column, dtype=np.float64)
-    diff = float(column[group_a].mean() - column[group_b].mean())
-    if scale == 0.0:
-        if diff == 0.0:
-            return 0.0
+    sd = _std_diff(np.asarray(column, dtype=np.float64), group_a, group_b, scale)
+    if scale == 0.0 and sd != 0.0:
         warnings.warn("zero pooled SD with unequal means; reporting inf", stacklevel=2)
-        return math.inf
-    return diff / scale
+    return sd
 
 
 def _rank_mahalanobis(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -258,12 +269,21 @@ def _max_cardinality_match(dist: np.ndarray, feasible: np.ndarray) -> list[tuple
 
 
 class _StageData:
-    """Shared covariate context for one matching stage."""
+    """One matching stage as a column table.
+
+    Units are the treated-role units, then the control-role units.  Each
+    covariate is one column over them: continuous covariates are the
+    float64 columns of x, in cont_names order (x_t and x_c are its two
+    row blocks); a nominal covariate is codes[name], integer codes into
+    its sorted labels[name].  The solver, the repair and the balance report all read
+    these columns.  Rank distances are computed on first use, so a stage
+    built only for a balance report never computes them.
+    """
 
     def __init__(
         self,
-        rows_t: list[Mapping[str, float | str]],
-        rows_c: list[Mapping[str, float | str]],
+        rows_t: Sequence[Mapping[str, float | str]],
+        rows_c: Sequence[Mapping[str, float | str]],
         kinds: Mapping[str, str],
         spec: BalanceSpec,
     ) -> None:
@@ -277,58 +297,41 @@ class _StageData:
             if kinds[name] != "nominal":
                 raise ConfigError(f"nominal rule declared for continuous covariate {name!r}")
         self.spec = spec
+        self.kinds = kinds
+        self.n_t = len(rows_t)
+        rows = [*rows_t, *rows_c]
         self.cont_names = tuple(sorted(n for n, k in kinds.items() if k == "continuous"))
-        self.x_t = np.array([[float(r[n]) for n in self.cont_names] for r in rows_t], dtype=np.float64)
-        self.x_c = np.array([[float(r[n]) for n in self.cont_names] for r in rows_c], dtype=np.float64)
-        self.dist = _rank_mahalanobis(self.x_t, self.x_c)
-        exact = spec.exact_names
-        self.exact_t = [tuple(r[n] for n in exact) for r in rows_t]
-        self.exact_c = [tuple(r[n] for n in exact) for r in rows_c]
-        self.fine_t = {n: [str(r[n]) for r in rows_t] for n in spec.fine_like}
-        self.fine_c = {n: [str(r[n]) for r in rows_c] for n in spec.fine_like}
-        # Integer label codes shared by both sides, and the number of labels.
-        self.fine_codes = {}
-        for n in spec.fine_like:
-            labels, codes = np.unique(self.fine_t[n] + self.fine_c[n], return_inverse=True)
-            self.fine_codes[n] = (codes[: len(rows_t)], codes[len(rows_t):], labels.size)
+        self.x = np.array([[float(r[n]) for n in self.cont_names] for r in rows], dtype=np.float64)
+        self.x_t, self.x_c = self.x[: self.n_t], self.x[self.n_t:]
+        self.labels: dict[str, np.ndarray] = {}
+        self.codes: dict[str, np.ndarray] = {}
+        for name in sorted(n for n, k in kinds.items() if k == "nominal"):
+            self.labels[name], self.codes[name] = np.unique([str(r[name]) for r in rows], return_inverse=True)
         # Full-sample pooled SDs, fixed once per stage.
-        self.scales = {}
-        for j, name in enumerate(self.cont_names):
-            col = np.concatenate([self.x_t[:, j], self.x_c[:, j]])
-            ga = np.arange(len(rows_t))
-            gb = np.arange(len(rows_t), len(rows_t) + len(rows_c))
-            self.scales[name] = pooled_sd(col, ga, gb)
+        ga, gb = np.arange(self.n_t), np.arange(self.n_t, len(rows))
+        self.scales = {name: pooled_sd(self.x[:, j], ga, gb) for j, name in enumerate(self.cont_names)}
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return _rank_mahalanobis(self.x_t, self.x_c)
 
     def feasible_matrix(self, hard_caliper: bool) -> np.ndarray:
         feas = np.ones(self.dist.shape, dtype=bool)
-        if self.spec.exact_names:
-            key_ids: dict[tuple, int] = {}
-            kt = np.array([key_ids.setdefault(k, len(key_ids)) for k in self.exact_t])
-            kc = np.array([key_ids.setdefault(k, len(key_ids)) for k in self.exact_c])
-            feas &= kt[:, None] == kc[None, :]
+        for name in self.spec.exact_names:
+            code = self.codes[name]
+            feas &= code[: self.n_t, None] == code[None, self.n_t:]
         if hard_caliper and self.spec.caliper is not None:
             feas &= self.dist <= self.spec.caliper
         return feas
 
     def continuous_excesses(self, pairs: list[tuple[int, int]]) -> dict[str, float]:
-        out = {}
+        caps = {name: t for name, t in self.spec.continuous.items() if math.isfinite(t)}
         if not pairs:
-            return {name: 0.0 for name in self.spec.continuous if math.isfinite(self.spec.continuous[name])}
+            return dict.fromkeys(caps, 0.0)
         t_idx = np.array([t for t, _ in pairs])
-        c_idx = np.array([c for _, c in pairs])
-        for name, threshold in self.spec.continuous.items():
-            if not math.isfinite(threshold):
-                continue
-            j = self.cont_names.index(name)
-            mt = self.x_t[t_idx, j].mean()
-            mc = self.x_c[c_idx, j].mean()
-            scale = self.scales[name]
-            if scale == 0.0:
-                sd = 0.0 if mt == mc else math.inf
-            else:
-                sd = (mt - mc) / scale
-            out[name] = max(abs(sd) - threshold, 0.0)
-        return out
+        c_idx = np.array([c for _, c in pairs]) + self.n_t
+        sds = {n: _std_diff(self.x[:, self.cont_names.index(n)], t_idx, c_idx, self.scales[n]) for n in caps}
+        return {name: max(abs(sds[name]) - threshold, 0.0) for name, threshold in caps.items()}
 
 
 # A cap decision from running sums counts only when its margin lies farther
@@ -355,11 +358,11 @@ class _Tally:
         self.n = len(pairs)
         self.fine_names = spec.fine_like
         self.budgets = [spec.budget(name) for name in self.fine_names]
-        self.codes = [stage.fine_codes[name][:2] for name in self.fine_names]
+        self.codes = [(stage.codes[n][: stage.n_t], stage.codes[n][stage.n_t:]) for n in self.fine_names]
         self.code_lists = [(ct.tolist(), cc.tolist()) for ct, cc in self.codes]
         self.count_t, self.count_c, self.dev = [], [], []
         for name, (code_t, code_c) in zip(self.fine_names, self.codes):
-            k = stage.fine_codes[name][2]
+            k = stage.labels[name].size
             ct = np.bincount(code_t[t_idx], minlength=k)
             cc = np.bincount(code_c[c_idx], minlength=k)
             self.count_t.append(ct.tolist())
@@ -370,7 +373,7 @@ class _Tally:
             if math.isfinite(threshold):
                 j = stage.cont_names.index(name)
                 scale = stage.scales[name]
-                top = max(np.abs(stage.x_t[:, j]).max(), np.abs(stage.x_c[:, j]).max())
+                top = np.abs(stage.x[:, j]).max()
                 guard = _CAP_GUARD * max(1.0, top / scale) if scale > 0 else math.inf
                 cols.append(j)
                 self.caps.append((threshold, scale or 1.0, guard))
@@ -563,10 +566,10 @@ def _repair_and_augment(
 def _match_stage(stage: _StageData) -> list[tuple[int, int]]:
     spec = stage.spec
     if spec.objective == "minimize_total_distance":
-        if stage.spec.fine_like:
-            names = stage.spec.fine_like
-            compound_t = [tuple(stage.fine_t[n][i] for n in names) for i in range(stage.dist.shape[0])]
-            compound_c = [tuple(stage.fine_c[n][i] for n in names) for i in range(stage.dist.shape[1])]
+        if spec.fine_like:
+            names = spec.fine_like
+            compound = list(zip(*(stage.labels[n][stage.codes[n]].tolist() for n in names)))
+            compound_t, compound_c = compound[: stage.n_t], compound[stage.n_t:]
             if any(spec.nominal[n].kind == "fine" for n in names):
                 budget = 0
             else:
@@ -603,11 +606,10 @@ def _match_stage(stage: _StageData) -> list[tuple[int, int]]:
 # public matching operations
 
 
-def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> list[MatchedPair]:
-    """Pair treated to control units from one period under a BalanceSpec.
-
-    The solver is deterministic.
-    """
+def _period_stage(
+    records: Sequence[UnitRecord], spec: BalanceSpec
+) -> tuple[list[UnitRecord], list[UnitRecord], _StageData]:
+    """Treated records, control records and their stage, for one period's records."""
     records = list(records)
     if not records:
         raise StructuralError("no records")
@@ -619,12 +621,16 @@ def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> lis
     controls = [r for r in records if r.z == 0]
     if not treated or not controls:
         raise InfeasibleMatchError("need at least one treated and one control unit")
-    stage = _StageData(
-        [r.covariates for r in treated],
-        [r.covariates for r in controls],
-        kinds,
-        spec,
-    )
+    stage = _StageData([r.covariates for r in treated], [r.covariates for r in controls], kinds, spec)
+    return treated, controls, stage
+
+
+def within_period_match(records: Sequence[UnitRecord], spec: BalanceSpec) -> list[MatchedPair]:
+    """Pair treated to control units from one period under a BalanceSpec.
+
+    The solver is deterministic.
+    """
+    treated, controls, stage = _period_stage(records, spec)
     pairs = _match_stage(stage)
     return [MatchedPair(treated=treated[t], control=controls[c]) for t, c in pairs]
 
@@ -849,6 +855,8 @@ def _balance_rows(
     seed: int,
     draws: int,
 ) -> list[BalanceRow]:
+    """Before/after balance rows over pooled units; a nominal column holds
+    labels or integer codes, and its categories are its sorted values."""
     features: dict[str, list[tuple[np.ndarray, float]]] = {}
     sds_before: dict[str, float] = {}
     sds_after: dict[str, float] = {}
@@ -859,19 +867,17 @@ def _balance_rows(
             col = np.asarray(columns[name], dtype=np.float64)
             scale = pooled_sd(col, ia_before, ib_before)
             features[name] = [(col, 1.0)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sds_before[name] = standardized_difference(col, ia_before, ib_before, scale)
-                sds_after[name] = standardized_difference(col, ia_after, ib_after, scale)
+            sds_before[name] = _std_diff(col, ia_before, ib_before, scale)
+            sds_after[name] = _std_diff(col, ia_after, ib_after, scale)
             if scale == 0.0 and (math.isinf(sds_before[name]) or math.isinf(sds_after[name])):
                 notes[name] = "zero pooled SD"
         else:
-            labels = np.asarray(columns[name], dtype=object)
-            indicators = [(labels == cat).astype(np.float64) for cat in sorted(set(labels))]
+            cats, codes = np.unique(columns[name], return_inverse=True)
+            indicators = [(codes == k).astype(np.float64) for k in range(cats.size)]
             scaled = [(ind, pooled_sd(ind, ia_before, ib_before)) for ind in indicators]
             features[name] = [(ind, scale) for ind, scale in scaled if scale > 0]
             sds_before[name], sds_after[name] = [
-                max((abs(standardized_difference(ind, ia, ib, scale))
+                max((abs(_std_diff(ind, ia, ib, scale))
                      for ind, scale in features[name]), default=0.0)
                 for ia, ib in ((ia_before, ib_before), (ia_after, ib_after))
             ]
@@ -894,37 +900,23 @@ def _balance_rows(
     ]
 
 
-def _report(
-    rows_a: Sequence[Mapping[str, float | str]],
-    rows_b: Sequence[Mapping[str, float | str]],
-    index_pairs: Sequence[tuple[int, int]],
-    kinds: Mapping[str, str],
-    seed: int,
-    stage: str,
-) -> BalanceReport:
-    """Balance of rows_a against rows_b before matching and of the matched
-    rows (index pairs into rows_a, rows_b) after."""
-    all_rows = list(rows_a) + list(rows_b)
-    n_a = len(rows_a)
-    columns = {
-        name: np.array(
-            [row[name] for row in all_rows],
-            dtype=np.float64 if kinds[name] == "continuous" else object,
-        )
-        for name in kinds
-    }
-    ia_before = np.arange(n_a, dtype=np.int64)
-    ib_before = np.arange(n_a, len(all_rows), dtype=np.int64)
+def _report(stage: _StageData, index_pairs: Sequence[tuple[int, int]], seed: int, name: str) -> BalanceReport:
+    """Balance of the stage's treated-role units against its control-role
+    units before matching, and of the matched units (index pairs) after."""
+    n_t, n = stage.n_t, stage.x.shape[0]
+    columns = {**dict(zip(stage.cont_names, stage.x.T)), **stage.codes}
+    ia_before = np.arange(n_t, dtype=np.int64)
+    ib_before = np.arange(n_t, n, dtype=np.int64)
     ia_after = np.array([i for i, _ in index_pairs], dtype=np.int64)
-    ib_after = np.array([n_a + j for _, j in index_pairs], dtype=np.int64)
+    ib_after = np.array([n_t + j for _, j in index_pairs], dtype=np.int64)
     # Each stage reads its own stream, so equal pooled sizes never share draws.
-    stage_seed = int(np.random.SeedSequence(seed, spawn_key=tuple(stage.encode())).generate_state(1)[0])
-    rows = _balance_rows(columns, kinds, ia_before, ib_before, ia_after, ib_after, stage_seed, PERMUTATION_DRAWS)
+    stage_seed = int(np.random.SeedSequence(seed, spawn_key=tuple(name.encode())).generate_state(1)[0])
+    rows = _balance_rows(columns, stage.kinds, ia_before, ib_before, ia_after, ib_after, stage_seed, PERMUTATION_DRAWS)
     return BalanceReport(
-        stage=stage,
+        stage=name,
         rows=tuple(rows),
-        n_treated_before=n_a,
-        n_control_before=len(rows_b),
+        n_treated_before=n_t,
+        n_control_before=n - n_t,
         n_matched=len(index_pairs),
     )
 
@@ -936,28 +928,23 @@ def balance_report(
 ) -> BalanceReport:
     """Before/after balance for a within-period stage, named "period<t>".
 
-    "Before" compares all treated to all control records; "after" compares
-    the matched units.  Standardized differences use the full-sample
-    pooled SD throughout; p-values are two-sample permutation tests on a
-    stream seeded by seed and the stage name.  Each stops once it has
+    records are checked and split as within_period_match does.  "Before"
+    compares all treated to all control records; "after" compares the
+    matched units.  Standardized differences use the full-sample pooled SD
+    throughout; p-values are two-sample permutation tests on a stream
+    seeded by seed and the stage name.  Each stops once it has
     _SETTLE_HITS hits, else at PERMUTATION_DRAWS draws; draws_before and
     draws_after record where.
     """
-    records = list(records)
-    kinds = validate_dataset(records)
-    treated = [r for r in records if r.z == 1]
-    controls = [r for r in records if r.z == 0]
+    treated, controls, stage = _period_stage(records, BalanceSpec())
     t_pos = {r.id: i for i, r in enumerate(treated)}
     c_pos = {r.id: j for j, r in enumerate(controls)}
     index_pairs = [(t_pos[p.treated.id], c_pos[p.control.id]) for p in pairs]
-    return _report(
-        [r.covariates for r in treated], [r.covariates for r in controls],
-        index_pairs, kinds, seed, f"period{records[0].period}",
-    )
+    return _report(stage, index_pairs, seed, f"period{treated[0].period}")
 
 
 def cross_balance_report(details: CrossMatchDetails, seed: int = 0) -> BalanceReport:
     """Balance of pair-level features across the two periods, stage "cross"."""
     rows_a, rows_b = details.pre_features, details.post_features
-    kinds = _feature_kinds(rows_a + rows_b)
-    return _report(rows_a, rows_b, details.index_pairs, kinds, seed, "cross")
+    stage = _StageData(rows_a, rows_b, _feature_kinds(rows_a + rows_b), BalanceSpec())
+    return _report(stage, details.index_pairs, seed, "cross")

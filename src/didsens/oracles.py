@@ -33,7 +33,6 @@ def brute_force_bound(
     lam: float,
     delta: float,
     objective: str = "max",
-    aligned: bool = False,
     du_points: int = 21,
     coef_points: int = 9,
 ) -> BruteForceResult:
@@ -54,9 +53,6 @@ def brute_force_bound(
         Caps, both >= 1.
     objective : str
         "max" or "min".
-    aligned : bool
-        If True, restrict to coefficient pairs with matching signs across
-        periods (lam1*lam2 >= 0 and delta1*delta2 >= 0).
     du_points, coef_points : int
         Grid resolutions.  Defaults include all corner configurations.
 
@@ -73,16 +69,14 @@ def brute_force_bound(
         raise ValueError("lam and delta must be >= 1")
     if objective not in ("max", "min"):
         raise ValueError("objective must be 'max' or 'min'")
-    lo, hi = _grid_extremes(
-        float(lam), float(delta), bool(aligned), int(du_points), int(coef_points)
-    )
+    lo, hi = _grid_extremes(float(lam), float(delta), int(du_points), int(coef_points))
     value, at = lo if objective == "min" else hi
     return BruteForceResult(value=value, at=dict(at))
 
 
 @lru_cache(maxsize=64)
 def _grid_extremes(
-    lam: float, delta: float, aligned: bool, du_points: int, coef_points: int
+    lam: float, delta: float, du_points: int, coef_points: int
 ) -> tuple[tuple[float, tuple], tuple[float, tuple]]:
     """Scan the full configuration grid once, returning (min, max) entries."""
     du = np.linspace(-1.0, 1.0, du_points)
@@ -99,9 +93,6 @@ def _grid_extremes(
     l2 = lgrid[None, None, :, None, None]
     g1 = dgrid[None, None, None, :, None]
     g2 = dgrid[None, None, None, None, :]
-    slice_shape = (du_points, coef_points, coef_points, coef_points, coef_points)
-    if aligned:
-        mask = np.broadcast_to((l1 * l2 >= 0) & (g1 * g2 >= 0), slice_shape)
 
     best_lo = None
     best_hi = None
@@ -110,13 +101,8 @@ def _grid_extremes(
             r = np.tanh(0.5 * (l2 * du2 + b * l1 * du1))
             e = np.tanh(0.5 * (g2 * du2 - b * g1 * du1))
             c = r * e
-            if aligned:
-                c = np.where(mask, c, np.nan)
-                flat_hi = int(np.nanargmax(c))
-                flat_lo = int(np.nanargmin(c))
-            else:
-                flat_hi = int(c.argmax())
-                flat_lo = int(c.argmin())
+            flat_hi = int(c.argmax())
+            flat_lo = int(c.argmin())
             c_flat = c.reshape(-1)
             v_hi = 0.5 * (1.0 + float(c_flat[flat_hi]))
             v_lo = 0.5 * (1.0 + float(c_flat[flat_lo]))
@@ -294,7 +280,7 @@ def permutation_balance_pvalues(
 def repair_and_augment_reference(stage, pairs):
     """The maximize_pairs constraint repair, every check recomputed from the pair list.
 
-    stage is a matching._StageData (spec, dist, fine_t/fine_c labels, x_t/x_c
+    stage is a matching._StageData (spec, dist, n_t, label codes, x_t/x_c
     covariates, scales) and pairs the stage's maximum-cardinality matching.
     Nominal repair drops the pair that most reduces the violated one-sided
     deviations (ties: larger distance, then earlier pair); cap repair drops
@@ -305,6 +291,12 @@ def repair_and_augment_reference(stage, pairs):
     all pairs.  Returns the sorted pairs or raises InfeasibleMatchError.
     """
 
+    def label_t(name, t):
+        return int(stage.codes[name][t])
+
+    def label_c(name, c):
+        return int(stage.codes[name][stage.n_t + c])
+
     def one_sided_deviation(t_labels, c_labels):
         """Sum over categories of max(treated count - control count, 0)."""
         ct = Counter(t_labels)
@@ -314,8 +306,8 @@ def repair_and_augment_reference(stage, pairs):
     def nominal_excesses(pairs):
         out = {}
         for name in stage.spec.fine_like:
-            t_labels = [stage.fine_t[name][t] for t, _ in pairs]
-            c_labels = [stage.fine_c[name][c] for _, c in pairs]
+            t_labels = [label_t(name, t) for t, _ in pairs]
+            c_labels = [label_c(name, c) for _, c in pairs]
             dev = one_sided_deviation(t_labels, c_labels)
             out[name] = dev - stage.spec.budget(name)
         return out
@@ -356,8 +348,8 @@ def repair_and_augment_reference(stage, pairs):
         # Removing one pair shifts two label counts by one, so the deviation
         # change is an O(1) integer update; recomputing marginals per
         # candidate would make the repair quadratic in the pair count.
-        count_t = {n: Counter(stage.fine_t[n][t] for t, _ in pairs) for n in names}
-        count_c = {n: Counter(stage.fine_c[n][c] for _, c in pairs) for n in names}
+        count_t = {n: Counter(label_t(n, t) for t, _ in pairs) for n in names}
+        count_c = {n: Counter(label_c(n, c) for _, c in pairs) for n in names}
         dev = {
             n: sum(max(v - count_c[n][cat], 0) for cat, v in count_t[n].items())
             for n in names
@@ -373,8 +365,8 @@ def repair_and_augment_reference(stage, pairs):
                 reduction = 0
                 same = True
                 for n in violated:
-                    lt = stage.fine_t[n][t]
-                    lc = stage.fine_c[n][c]
+                    lt = label_t(n, t)
+                    lc = label_c(n, c)
                     if lt == lc:
                         continue
                     same = False
@@ -393,8 +385,8 @@ def repair_and_augment_reference(stage, pairs):
                 )
             t, c = pairs.pop(best[1])
             for n in names:
-                lt = stage.fine_t[n][t]
-                lc = stage.fine_c[n][c]
+                lt = label_t(n, t)
+                lc = label_c(n, c)
                 if lt != lc:
                     if count_t[n][lt] > count_c[n][lt]:
                         dev[n] -= 1

@@ -142,3 +142,12 @@ def test_quadruple_set_rejects_non_finite_contrasts(bad):
     # A non-finite contrast would leave invert_ci bisecting an infinite span.
     with pytest.raises(DataError, match="quadruple row 2: contrast d = .* is not finite"):
         quadset_from_d([1.0, 2.0, bad, 3.0, 0.5])
+
+
+def test_quadruple_set_overflow_raises_data_error_without_a_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match="quadruple row 0: contrast d = .* is not finite"):
+            QuadrupleSet(ids=[["a", "b", "c", "d"]], outcomes=[[1e308, -1e308, 0.0, 0.0]])

@@ -142,6 +142,33 @@ def test_integer_scores_past_the_dp_cap_use_normal_approximation():
     assert res.p_value == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-9)
 
 
+@pytest.mark.parametrize("p_plus", [0.5, 0.8])
+def test_enumeration_tails_equal_the_oracle(p_plus):
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        q = rng.uniform(0.1, 3.0, n) + math.sqrt(2.0) * 1e-3
+        t = float(q[rng.random(n) < 0.5].sum())
+        dist = exact_null_distribution(q, p_plus)
+        for greater, expect in ((True, dist.tail_geq(t)), (False, dist.tail_leq(t))):
+            got, route = inference._tail_pvalue(q, t, p_plus, greater)
+            assert route == "enumeration"
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_enumeration_memory_at_the_largest_n():
+    import tracemalloc
+
+    q = np.random.default_rng(3).uniform(0.1, 3.0, inference.ENUM_MAX_N) + 1e-7
+    tracemalloc.start()
+    try:
+        p, route = inference._tail_pvalue(q, float(q[::2].sum()), 0.5, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert route == "enumeration" and 0.0 < p < 1.0
+    assert peak < 64 * 2**20
+
+
 def test_large_irrational_scores_use_normal_approximation():
     rng = np.random.default_rng(5)
     d = (rng.normal(0.3, 1.0, 60) + rng.uniform(0, 1e-9, 60)).tolist()

@@ -472,6 +472,18 @@ def test_balance_report_notes_zero_pooled_sd():
     assert rows["x"].note == ""
 
 
+def test_balance_report_rejects_two_periods():
+    records = [unit("a", 1, 1, 0.0, x=1.0), unit("b", 1, 0, 0.0, x=2.0), unit("c", 2, 0, 0.0, x=3.0)]
+    with pytest.raises(StructuralError, match="period"):
+        balance_report(records, [])
+
+
+def test_balance_report_rejects_an_empty_arm():
+    records = [unit("a", 1, 0, 0.0, x=1.0), unit("b", 1, 0, 0.0, x=2.0)]
+    with pytest.raises(InfeasibleMatchError, match="need at least one treated and one control unit"):
+        balance_report(records, [])
+
+
 def test_cross_balance_report_uses_pair_features():
     pre = [_pair(0, 1, "north", 1.0, 1.2), _pair(1, 1, "south", 2.0, 2.1)]
     post = [_pair(0, 2, "north", 1.1, 1.0), _pair(1, 2, "south", 2.2, 2.0)]
@@ -481,6 +493,21 @@ def test_cross_balance_report_uses_pair_features():
     assert rep.stage == "cross"
     assert {r.covariate for r in rep.rows} == {"region", "x"}
     assert rep.n_matched == len(quads)
+
+
+def test_balance_reports_compute_no_distances(monkeypatch):
+    from didsens import matching
+
+    def refuse(*args):
+        raise AssertionError("a balance report computed rank distances")
+
+    pre = [_pair(0, 1, "north", 1.0, 1.2), _pair(1, 1, "south", 2.0, 2.1)]
+    post = [_pair(0, 2, "north", 1.1, 1.0), _pair(1, 2, "south", 2.2, 2.0)]
+    _, details = cross_period_match(pre, post, BalanceSpec(nominal={"region": NominalRule("exact")}))
+    records = [p.treated for p in pre] + [p.control for p in pre]
+    monkeypatch.setattr(matching, "_rank_mahalanobis", refuse)
+    assert balance_report(records, pre, seed=1).n_matched == 2
+    assert cross_balance_report(details, seed=1).n_matched == 2
 
 
 def _balance_case(n_a, n_b):

@@ -45,15 +45,6 @@ def test_grid_matches_closed_form_with_corner_extrema():
     assert time.perf_counter() - start < 5.0
 
 
-def test_aligned_search_is_no_wider():
-    for lam, delta in ((2.0, 3.0), (1.5, 2.0), (3.0, 1.2), (2.0, 2.0)):
-        lo, hi = closed_form_bounds(lam, delta)
-        res_max = brute_force_bound(lam, delta, "max", aligned=True)
-        res_min = brute_force_bound(lam, delta, "min", aligned=True)
-        assert res_max.value <= hi + 1e-12
-        assert res_min.value >= lo - 1e-12
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         brute_force_bound(0.5, 2.0)
