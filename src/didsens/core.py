@@ -9,6 +9,7 @@ quadruples as columns: unit ids and outcomes by slot, and the contrasts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -172,9 +173,10 @@ def validate_dataset(records: list[UnitRecord], outcome_kind: str = "continuous"
     """Covariate name -> "continuous" or "nominal" for a valid record list.
 
     Checks unique ids, finite outcomes (0/1 when outcome_kind is "binary"),
-    a shared covariate name set, and per-covariate value kinds consistent
-    across records.  Otherwise raises StructuralError("invalid dataset:
-    ...") with the first five problems and the count of the rest.
+    a shared covariate name set, finite continuous covariates, and
+    per-covariate value kinds consistent across records.  Otherwise raises
+    StructuralError("invalid dataset: ...") with the first five problems
+    and the count of the rest.
     """
     if outcome_kind not in VALID_OUTCOME_KINDS:
         raise ValueError(f"outcome_kind must be one of {VALID_OUTCOME_KINDS}")
@@ -210,6 +212,8 @@ def validate_dataset(records: list[UnitRecord], outcome_kind: str = "continuous"
                 problems.append(
                     f"record {rec.id!r}: covariate {name!r} is {kind} here but {kinds[name]} elsewhere"
                 )
+            if kind == "continuous" and not math.isfinite(value):
+                problems.append(f"record {rec.id!r}: covariate {name!r} is not finite")
     if problems:
         shown = "; ".join(problems[:5])
         if len(problems) > 5:

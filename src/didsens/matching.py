@@ -7,8 +7,9 @@ pair-level summaries, yielding the quadruples that inference consumes.
 Each stage is one column table (_StageData) over its treated-role units
 and then its control-role units: a continuous covariate is a float64
 column, a nominal one integer codes into its sorted labels.  The solver,
-the constraint repair and the stage's balance report all read these
-columns.
+the constraint repair and the balance engine (_report, which derives a
+report's standardized differences and permutation p-values from one set of
+feature columns) all read these columns.
 
 Distances are rank-based Mahalanobis distances over the continuous
 covariates.  Balance constraints come in three flavors: per-covariate
@@ -141,9 +142,8 @@ def pooled_sd(column: np.ndarray, group_a: np.ndarray, group_b: np.ndarray) -> f
     return float(np.sqrt(0.5 * (va + vb)))
 
 
-def _std_diff(column: np.ndarray, group_a: np.ndarray, group_b: np.ndarray, scale: float) -> float:
-    """(mean_a - mean_b) / scale; at zero scale 0/0 gives 0 and d/0 gives +inf."""
-    diff = float(column[group_a].mean() - column[group_b].mean())
+def _std_diff(diff: float, scale: float) -> float:
+    """diff / scale for a difference of means; at zero scale 0/0 gives 0 and d/0 gives +inf."""
     if scale == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / scale
@@ -157,7 +157,8 @@ def standardized_difference(
     The scale is supplied by the caller so that before/after comparisons
     share the full-sample pooled SD.
     """
-    sd = _std_diff(np.asarray(column, dtype=np.float64), group_a, group_b, scale)
+    column = np.asarray(column, dtype=np.float64)
+    sd = _std_diff(float(column[group_a].mean() - column[group_b].mean()), scale)
     if scale == 0.0 and sd != 0.0:
         warnings.warn("zero pooled SD with unequal means; reporting inf", stacklevel=2)
     return sd
@@ -330,7 +331,8 @@ class _StageData:
             return dict.fromkeys(caps, 0.0)
         t_idx = np.array([t for t, _ in pairs])
         c_idx = np.array([c for _, c in pairs]) + self.n_t
-        sds = {n: _std_diff(self.x[:, self.cont_names.index(n)], t_idx, c_idx, self.scales[n]) for n in caps}
+        x = {n: self.x[:, self.cont_names.index(n)] for n in caps}
+        sds = {n: _std_diff(float(x[n][t_idx].mean() - x[n][c_idx].mean()), self.scales[n]) for n in caps}
         return {name: max(abs(sds[name]) - threshold, 0.0) for name, threshold in caps.items()}
 
 
@@ -776,149 +778,111 @@ def _treated_sums(r: np.ndarray, n_a: int, x: np.ndarray, mask: np.ndarray) -> n
     return sums
 
 
-def _permutation_pvalues(
-    features: Mapping[str, Sequence[tuple[np.ndarray, float]]],
-    ia: np.ndarray,
-    ib: np.ndarray,
+def _report(
+    stage: _StageData,
+    index_pairs: Sequence[tuple[int, int]],
     seed: int,
-    draws: int,
-) -> dict[str, tuple[float, int]]:
-    """Two-sample permutation p-values, shared draws across covariates.
+    name: str,
+    draws: int = PERMUTATION_DRAWS,
+) -> BalanceReport:
+    """Balance of the stage's treated-role units (arm a) against its
+    control-role units (arm b) before matching, and of the matched units
+    (index pairs) after.
 
-    features[name] lists (column, scale) pairs over all units; the
-    statistic is the max over the pairs of |mean_a - mean_b| / scale (one
-    pair with scale 1 for a continuous covariate, one indicator per
-    category with a positive pooled SD for a nominal one; no pair gives 0).
+    Feature columns come from the stage once: a continuous covariate is its
+    column with divisor 1, a nominal one an indicator per label code whose
+    pooled SD over the "before" arms is positive, with that SD as divisor.
+    A covariate's statistic is the max over its columns of |mean_a - mean_b|
+    / divisor, 0 with no column.  Each comparison computes each column's
+    mean difference once; it gives the observed statistic and the
+    standardized difference.  For a nominal covariate the two are the same
+    number; a continuous one divides its signed difference by
+    stage.scales[name] (see _std_diff; +inf is noted "zero pooled SD").
 
-    Draws come from default_rng(seed) as one stream of draws x n uniforms
-    over the pooled units (ia then ib), and draw d's treated set is the n_a
-    smallest entries of row d.  The stream is read in blocks of at most
-    _BLOCK_VALUES uniforms, filled into two buffers made once per call, so
-    memory use stays small and does not depend on the allocator's history;
-    the block size does not change the draws.  All treated sums of a block
-    come from one matrix product.
-
-    Returns name -> (p-value, draws read for it).  A draw hits when its
-    statistic is >= observed - 1e-12.  Sequential stop (Besag & Clifford
+    P-values are two-sample permutation tests.  Each comparison reads its
+    own stream, default_rng of a seed spawned from seed and the stage name,
+    as draws x n uniforms over the pooled units (arm a, then arm b), and
+    draw d's arm a is the n_a smallest entries of row d.  The stream is read
+    in blocks of at most _BLOCK_VALUES uniforms into two buffers made once
+    per comparison, so memory use stays small and does not depend on the
+    allocator's history; the block size does not change the draws.  All
+    arm-a sums of a block come from one matrix product.  A draw hits when
+    its statistic is >= observed - 1e-12.  Sequential stop (Besag & Clifford
     1991): at the draw L that brings a covariate's hits to _SETTLE_HITS its
-    p-value is _SETTLE_HITS / L; a covariate that never gets there reads
-    all draws and takes the add-one (1 + hits) / (draws + 1).  Reading
-    stops after the block in which the last covariate settles.
+    p-value is _SETTLE_HITS / L; a covariate that never gets there reads all
+    draws and takes the add-one (1 + hits) / (draws + 1).  Reading stops
+    after the block in which the last covariate settles.
     """
-    rng = np.random.default_rng(seed)
-    pool = np.concatenate([ia, ib])
-    n_a = ia.size
-    n = pool.size
-    cols: list[np.ndarray] = []
-    scales: list[float] = []
-    slots: dict[str, slice] = {}
-    for name, pairs in features.items():
-        slots[name] = slice(len(cols), len(cols) + len(pairs))
-        cols += [column[pool] for column, _ in pairs]
-        scales += [scale for _, scale in pairs]
-    divisor = np.array(scales)
-    diffs = np.array([abs(col[:n_a].mean() - col[n_a:].mean()) for col in cols]) / divisor
-    obs = {name: diffs[slot].max(initial=0.0) for name, slot in slots.items()}
-    total = np.array([col.sum() for col in cols])
-    x = np.column_stack(cols + [np.ones(n)])
-    hits = dict.fromkeys(features, 0)
-    settled: dict[str, tuple[float, int]] = {}
-
-    rows = max(1, _BLOCK_VALUES // n)
-    r = np.empty((min(rows, draws), n))
-    mask = np.empty_like(r)
-    done = 0
-    while done < draws and len(settled) < len(slots):
-        b = min(rows, draws - done)
-        rng.random(out=r[:b])
-        s_a = _treated_sums(r[:b], n_a, x, mask[:b])[:, :-1]
-        stats = np.abs(s_a / n_a - (total - s_a) / (n - n_a)) / divisor
-        for name, slot in slots.items():
-            if name in settled:
-                continue
-            running = hits[name] + np.cumsum(stats[:, slot].max(axis=1, initial=0.0) >= obs[name] - 1e-12)
-            hits[name] = int(running[-1])
-            if hits[name] >= _SETTLE_HITS:
-                stop = done + int(np.argmax(running >= _SETTLE_HITS)) + 1
-                settled[name] = (_SETTLE_HITS / stop, stop)
-        done += b
-    return {name: settled.get(name, ((1 + hits[name]) / (draws + 1), draws)) for name in features}
-
-
-def _balance_rows(
-    columns: Mapping[str, np.ndarray],
-    kinds: Mapping[str, str],
-    ia_before: np.ndarray,
-    ib_before: np.ndarray,
-    ia_after: np.ndarray,
-    ib_after: np.ndarray,
-    seed: int,
-    draws: int,
-) -> list[BalanceRow]:
-    """Before/after balance rows over pooled units; a nominal column holds
-    labels or integer codes, and its categories are its sorted values."""
-    features: dict[str, list[tuple[np.ndarray, float]]] = {}
-    sds_before: dict[str, float] = {}
-    sds_after: dict[str, float] = {}
-    notes: dict[str, str] = {}
-    for name in sorted(columns):
-        notes[name] = ""
-        if kinds[name] == "continuous":
-            col = np.asarray(columns[name], dtype=np.float64)
-            scale = pooled_sd(col, ia_before, ib_before)
-            features[name] = [(col, 1.0)]
-            sds_before[name] = _std_diff(col, ia_before, ib_before, scale)
-            sds_after[name] = _std_diff(col, ia_after, ib_after, scale)
-            if scale == 0.0 and (math.isinf(sds_before[name]) or math.isinf(sds_after[name])):
-                notes[name] = "zero pooled SD"
-        else:
-            cats, codes = np.unique(columns[name], return_inverse=True)
-            indicators = [(codes == k).astype(np.float64) for k in range(cats.size)]
-            scaled = [(ind, pooled_sd(ind, ia_before, ib_before)) for ind in indicators]
-            features[name] = [(ind, scale) for ind, scale in scaled if scale > 0]
-            sds_before[name], sds_after[name] = [
-                max((abs(_std_diff(ind, ia, ib, scale))
-                     for ind, scale in features[name]), default=0.0)
-                for ia, ib in ((ia_before, ib_before), (ia_after, ib_after))
-            ]
-    seq = np.random.SeedSequence(seed)
-    seed_before, seed_after = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-    before = _permutation_pvalues(features, ia_before, ib_before, seed_before, draws)
-    after = _permutation_pvalues(features, ia_after, ib_after, seed_after, draws)
-    return [
-        BalanceRow(
-            covariate=name,
-            std_diff_before=sds_before[name],
-            p_before=before[name][0],
-            std_diff_after=sds_after[name],
-            p_after=after[name][0],
-            draws_before=before[name][1],
-            draws_after=after[name][1],
-            note=notes[name],
-        )
-        for name in sorted(columns)
-    ]
-
-
-def _report(stage: _StageData, index_pairs: Sequence[tuple[int, int]], seed: int, name: str) -> BalanceReport:
-    """Balance of the stage's treated-role units against its control-role
-    units before matching, and of the matched units (index pairs) after."""
+    if not index_pairs:
+        raise StructuralError(f"balance report for stage {name!r}: no matched pairs")
     n_t, n = stage.n_t, stage.x.shape[0]
-    columns = {**dict(zip(stage.cont_names, stage.x.T)), **stage.codes}
-    ia_before = np.arange(n_t, dtype=np.int64)
-    ib_before = np.arange(n_t, n, dtype=np.int64)
-    ia_after = np.array([i for i, _ in index_pairs], dtype=np.int64)
-    ib_after = np.array([n_t + j for _, j in index_pairs], dtype=np.int64)
+    before = (np.arange(n_t), np.arange(n_t, n))
+    after = (np.array([i for i, _ in index_pairs]), np.array([n_t + j for _, j in index_pairs]))
+    names = sorted(stage.kinds)
+    cols: list[np.ndarray] = []
+    divisors: list[float] = []
+    spans: list[slice] = []
+    for cov in names:
+        start = len(cols)
+        if stage.kinds[cov] == "continuous":
+            cols.append(stage.x[:, stage.cont_names.index(cov)])
+            divisors.append(1.0)
+        else:
+            for code in range(stage.labels[cov].size):
+                indicator = (stage.codes[cov] == code).astype(np.float64)
+                sd = pooled_sd(indicator, *before)
+                if sd > 0:
+                    cols.append(indicator)
+                    divisors.append(sd)
+        spans.append(slice(start, len(cols)))
+    divisor = np.array(divisors)
+    scales = [stage.scales.get(cov) for cov in names]  # None for a nominal covariate
     # Each stage reads its own stream, so equal pooled sizes never share draws.
     stage_seed = int(np.random.SeedSequence(seed, spawn_key=tuple(name.encode())).generate_state(1)[0])
-    rows = _balance_rows(columns, stage.kinds, ia_before, ib_before, ia_after, ib_after, stage_seed, PERMUTATION_DRAWS)
-    return BalanceReport(
-        stage=name,
-        rows=tuple(rows),
-        n_treated_before=n_t,
-        n_control_before=n - n_t,
-        n_matched=len(index_pairs),
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(stage_seed).spawn(2)]
+
+    sides = []  # per comparison: (standardized difference, p-value, draws) per covariate
+    for (ia, ib), comparison_seed in zip((before, after), seeds):
+        pool = np.concatenate([ia, ib])
+        n_a, m = ia.size, pool.size
+        pooled = [col[pool] for col in cols]
+        diff = np.array([col[:n_a].mean() - col[n_a:].mean() for col in pooled])
+        observed = np.abs(diff) / divisor
+        obs = [observed[span].max(initial=0.0) for span in spans]
+        total = np.array([col.sum() for col in pooled])
+        x = np.column_stack(pooled + [np.ones(m)])
+        rng = np.random.default_rng(comparison_seed)
+        block_rows = max(1, _BLOCK_VALUES // m)
+        r = np.empty((min(block_rows, draws), m))
+        mask = np.empty_like(r)
+        hits = [0] * len(names)
+        settled: dict[int, tuple[float, int]] = {}
+        done = 0
+        while done < draws and len(settled) < len(names):
+            b = min(block_rows, draws - done)
+            rng.random(out=r[:b])
+            s_a = _treated_sums(r[:b], n_a, x, mask[:b])[:, :-1]
+            stats = np.abs(s_a / n_a - (total - s_a) / (m - n_a)) / divisor
+            for k, span in enumerate(spans):
+                if k in settled:
+                    continue
+                running = hits[k] + np.cumsum(stats[:, span].max(axis=1, initial=0.0) >= obs[k] - 1e-12)
+                hits[k] = int(running[-1])
+                if hits[k] >= _SETTLE_HITS:
+                    stop = done + int(np.argmax(running >= _SETTLE_HITS)) + 1
+                    settled[k] = (_SETTLE_HITS / stop, stop)
+            done += b
+        sides.append([
+            (float(o) if scale is None else _std_diff(float(diff[span.start]), scale),
+             *settled.get(k, ((1 + hits[k]) / (draws + 1), draws)))
+            for k, (o, scale, span) in enumerate(zip(obs, scales, spans))
+        ])
+    rows = tuple(
+        BalanceRow(cov, sd_b, p_b, sd_a, p_a, draws_b, draws_a,
+                   "zero pooled SD" if scale == 0.0 and math.inf in (sd_b, sd_a) else "")
+        for cov, scale, (sd_b, p_b, draws_b), (sd_a, p_a, draws_a) in zip(names, scales, *sides)
     )
+    return BalanceReport(name, rows, n_t, n - n_t, len(index_pairs))
 
 
 def balance_report(
@@ -928,17 +892,25 @@ def balance_report(
 ) -> BalanceReport:
     """Before/after balance for a within-period stage, named "period<t>".
 
-    records are checked and split as within_period_match does.  "Before"
-    compares all treated to all control records; "after" compares the
-    matched units.  Standardized differences use the full-sample pooled SD
-    throughout; p-values are two-sample permutation tests on a stream
-    seeded by seed and the stage name.  Each stops once it has
-    _SETTLE_HITS hits, else at PERMUTATION_DRAWS draws; draws_before and
-    draws_after record where.
+    records are checked and split as within_period_match does, and pairs
+    must use each unit of them at most once.  "Before" compares all treated
+    to all control records; "after" compares the matched units.
+    Standardized differences use the full-sample pooled SD throughout;
+    p-values are two-sample permutation tests on a stream seeded by seed
+    and the stage name.  Each stops once it has _SETTLE_HITS hits, else at
+    PERMUTATION_DRAWS draws; draws_before and draws_after record where.
     """
     treated, controls, stage = _period_stage(records, BalanceSpec())
     t_pos = {r.id: i for i, r in enumerate(treated)}
     c_pos = {r.id: j for j, r in enumerate(controls)}
+    used: set[str] = set()
+    for p in pairs:
+        for uid, pos, role in ((p.treated.id, t_pos, "treated"), (p.control.id, c_pos, "control")):
+            if uid not in pos:
+                raise StructuralError(f"paired unit {uid!r} is not a {role} record of the stage")
+            if uid in used:
+                raise StructuralError(f"unit {uid!r} appears in more than one pair")
+            used.add(uid)
     index_pairs = [(t_pos[p.treated.id], c_pos[p.control.id]) for p in pairs]
     return _report(stage, index_pairs, seed, f"period{treated[0].period}")
 

@@ -108,16 +108,16 @@ def test_match_balance_reports_read_one_stream_each(tmp_path, monkeypatch):
     # Both periods have 14 treated and 20 controls, so reports that shared a
     # seed would share their permutation draws.
     seeds = []
-    permutation_pvalues = matching._permutation_pvalues
+    default_rng = np.random.default_rng
 
-    def spy(features, ia, ib, seed, draws):
+    def spy(seed):
         seeds.append(seed)
-        return permutation_pvalues(features, ia, ib, seed, draws)
+        return default_rng(seed)
 
-    monkeypatch.setattr(matching, "_permutation_pvalues", spy)
     data = tmp_path / "data.csv"
     write_dataset(data)
     config = write_config(tmp_path / "config.yaml", data, tmp_path / "out")
+    monkeypatch.setattr(matching.np.random, "default_rng", spy)
     assert cli.main(["match", "--config", str(config)]) == 0
     assert len(seeds) == len(set(seeds)) == 6  # before and after of three stages
 
@@ -279,6 +279,20 @@ def test_exit_4_on_invalid_dataset_lists_five_problems(tmp_path, capsys):
     assert cli.main(["match", "--config", str(config)]) == 4
     shown = "; ".join(["record 'dup': duplicate id"] * 5)
     assert capsys.readouterr().err == f"data error: invalid dataset: {shown}; and 2 more\n"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_exit_4_on_non_finite_covariate(tmp_path, capsys, bad):
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    lines = data.read_text().splitlines()
+    fields = lines[15].split(",")  # u14, the first period-1 control
+    fields[4] = bad
+    lines[15] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path / "config.yaml", data, tmp_path / "out")
+    assert cli.main(["match", "--config", str(config)]) == 4
+    assert "record 'u14': covariate 'x' is not finite" in capsys.readouterr().err
 
 
 def test_importing_the_package_writes_nothing_to_stdout():

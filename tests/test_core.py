@@ -122,6 +122,13 @@ def test_validate_dataset_flags_problems():
         validate_dataset(many)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_dataset_rejects_non_finite_covariates(bad):
+    records = [unit("a", 1, 1, 1.0, x1=0.5), unit("b", 1, 0, 2.0, x1=bad)]
+    with pytest.raises(StructuralError, match=r"^invalid dataset: record 'b': covariate 'x1' is not finite$"):
+        validate_dataset(records)
+
+
 def test_validate_dataset_binary_outcomes():
     ok = [unit("a", 1, 1, 1.0), unit("b", 1, 0, 0.0)]
     assert validate_dataset(ok, outcome_kind="binary") == {}

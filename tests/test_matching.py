@@ -11,15 +11,14 @@ from didsens.errors import ConfigError, InfeasibleMatchError, StructuralError
 from didsens.matching import (
     BalanceSpec,
     NominalRule,
-    PERMUTATION_DRAWS,
     _BLOCK_VALUES,
     _SETTLE_HITS,
     _StageData,
-    _balance_rows,
+    _feature_kinds,
     _max_cardinality_match,
-    _permutation_pvalues,
     _rank_mahalanobis,
     _repair_and_augment,
+    _report,
     _treated_sums,
     balance_report,
     cross_balance_report,
@@ -484,6 +483,28 @@ def test_balance_report_rejects_an_empty_arm():
         balance_report(records, [])
 
 
+def test_balance_report_rejects_pairs_it_cannot_report():
+    records = _period1([
+        (1, {"x": 0.2}),
+        (1, {"x": 1.4}),
+        (0, {"x": 0.1}),
+        (0, {"x": 1.1}),
+        (0, {"x": 2.5}),
+    ])
+    t0, t1, c2 = records[0], records[1], records[2]
+    stranger = unit("z", 1, 1, 0.0, x=0.3)
+    with pytest.raises(StructuralError, match="paired unit 'z' is not a treated record"):
+        balance_report(records, [MatchedPair(stranger, c2)])
+    with pytest.raises(StructuralError, match="paired unit 't1' is not a control record"):
+        balance_report(records, [MatchedPair(t0, unit("t1", 1, 0, 0.0, x=1.4))])
+    with pytest.raises(StructuralError, match="unit 't0' appears in more than one pair"):
+        balance_report(records, [MatchedPair(t0, c2), MatchedPair(t0, c2)])
+    with pytest.raises(StructuralError, match="unit 'c2' appears in more than one pair"):
+        balance_report(records, [MatchedPair(t0, c2), MatchedPair(t1, c2)])
+    with pytest.raises(StructuralError, match="no matched pairs"):
+        balance_report(records, [])
+
+
 def test_cross_balance_report_uses_pair_features():
     pre = [_pair(0, 1, "north", 1.0, 1.2), _pair(1, 1, "south", 2.0, 2.1)]
     post = [_pair(0, 2, "north", 1.1, 1.0), _pair(1, 2, "south", 2.2, 2.0)]
@@ -511,11 +532,12 @@ def test_balance_reports_compute_no_distances(monkeypatch):
 
 
 def _balance_case(n_a, n_b):
-    """Columns, kinds and before/after index sets for the reference checks.
+    """Treated-role rows, control-role rows, kinds and index pairs for the
+    reference checks.
 
     "w" has tied values, "zone" has a category with zero pooled SD, "const" a
     single label; "far" is shifted too far to settle within 2300 draws, and
-    at n_a = 15, n_b = 25 "mid" settles "before" at draw 2072, past the first
+    at n_a = 15, n_b = 25 "mid" settles "before" at draw 1947, past the first
     block of 1638 rows.
     """
     g = np.random.default_rng(n_a * 100 + n_b)
@@ -523,36 +545,49 @@ def _balance_case(n_a, n_b):
     columns = {
         "x": g.normal(size=n),
         "w": np.round(g.normal(size=n), 1),
-        "site": np.array(g.choice(["a", "b", "c"], size=n), dtype=object),
-        "zone": np.array(["v" if i % 2 else "w" for i in range(n_a)] + ["u"] * n_b, dtype=object),
-        "const": np.array(["k"] * n, dtype=object),
+        "site": g.choice(["a", "b", "c"], size=n).tolist(),
+        "zone": ["v" if i % 2 else "w" for i in range(n_a)] + ["u"] * n_b,
+        "const": ["k"] * n,
     }
     shift = (np.arange(n) < n_a).astype(float)
     columns["far"] = g.normal(size=n) + 2.0 * shift
     columns["mid"] = g.normal(size=n) + 0.97 * shift
-    kinds = {name: "nominal" if col.dtype == object else "continuous" for name, col in columns.items()}
-    ia0 = np.arange(n_a)
-    ib0 = np.arange(n_a, n)
-    return columns, kinds, (ia0, ib0), (ia0[: max(1, 3 * n_a // 4)], ib0[::2])
+    rows = [{name: col[i] for name, col in columns.items()} for i in range(n)]
+    index_pairs = list(zip(range(max(1, 3 * n_a // 4)), range(0, n_b, 2)))
+    return rows[:n_a], rows[n_a:], _feature_kinds(rows), index_pairs
 
 
-def _balance_rows_and_reference(n_a, n_b, draws):
-    columns, kinds, before, after = _balance_case(n_a, n_b)
-    rows = _balance_rows(columns, kinds, *before, *after, seed=11, draws=draws)
-    s0, s1 = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(11).spawn(2)]
+def _stream_seeds(seed, name):
+    """Seeds of a balance report's "before" and "after" streams: a stage
+    seed spawned from seed and the stage name, then two seeds spawned from it."""
+    stage_seed = int(np.random.SeedSequence(seed, spawn_key=tuple(name.encode())).generate_state(1)[0])
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(stage_seed).spawn(2)]
+
+
+def _report_and_reference(rows_a, rows_b, kinds, index_pairs, name, draws, seed=11):
+    """The engine's rows on the stage of rows_a against rows_b, and the
+    one-draw-at-a-time reference's "before" and "after" p-values."""
+    stage = _StageData(rows_a, rows_b, kinds, BalanceSpec())
+    rows = {r.covariate: r for r in _report(stage, index_pairs, seed, name, draws=draws).rows}
+    pooled = [*rows_a, *rows_b]
+    columns = {k: [row[k] for row in pooled] for k in kinds}
+    n_a = len(rows_a)
+    before = (np.arange(n_a), np.arange(n_a, len(pooled)))
+    after = (np.array([i for i, _ in index_pairs]), np.array([n_a + j for _, j in index_pairs]))
+    s0, s1 = _stream_seeds(seed, name)
     ref0 = oracles.permutation_balance_pvalues(
         columns, kinds, *before, s0, draws, settle_hits=_SETTLE_HITS
     )
     ref1 = oracles.permutation_balance_pvalues(
         columns, kinds, *after, s1, draws, scale_groups=before, settle_hits=_SETTLE_HITS
     )
-    return {r.covariate: r for r in rows}, ref0, ref1
+    return rows, ref0, ref1
 
 
 @pytest.mark.parametrize("n_a, n_b, draws", [(15, 25, 2300), (1, 19, 400), (19, 1, 400), (8, 30, 400)])
 def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
     # 2300 draws cross a block boundary (1638 rows at n = 40).
-    rows, ref0, ref1 = _balance_rows_and_reference(n_a, n_b, draws)
+    rows, ref0, ref1 = _report_and_reference(*_balance_case(n_a, n_b), "period1", draws)
     assert {name: (r.p_before, r.draws_before) for name, r in rows.items()} == ref0
     assert {name: (r.p_after, r.draws_after) for name, r in rows.items()} == ref1
     assert ref0["const"] == ref1["const"] == (1.0, _SETTLE_HITS)
@@ -565,11 +600,36 @@ def test_balance_pvalues_equal_one_draw_at_a_time_reference(n_a, n_b, draws):
 def test_balance_pvalue_settled_on_the_last_draw():
     # Cap the draws at the one where "mid" settles: its p-value is h / L, not
     # the add-one p-value of a covariate that ran to the cap.
-    last = _balance_rows_and_reference(15, 25, 2300)[0]["mid"].draws_before
-    rows, ref0, _ = _balance_rows_and_reference(15, 25, last)
+    case = _balance_case(15, 25)
+    last = _report_and_reference(*case, "period1", 2300)[0]["mid"].draws_before
+    rows, ref0, _ = _report_and_reference(*case, "period1", last)
     assert (rows["mid"].p_before, rows["mid"].draws_before) == ref0["mid"] == (_SETTLE_HITS / last, last)
     assert rows["far"].draws_before == last
     assert {name: (r.p_before, r.draws_before) for name, r in rows.items()} == ref0
+
+
+def test_cross_balance_pvalues_equal_one_draw_at_a_time_reference():
+    # Pair features: within-pair means of x and y, compound "a|b" labels.
+    g = np.random.default_rng(8)
+
+    def pairs(period, n, shift):
+        return [
+            MatchedPair(*(
+                unit(f"p{period}{role}{i}", period, z, 0.0, region=str(g.choice(["a", "b", "c"])),
+                     x=float(g.normal() + shift), y=float(g.normal()))
+                for role, z in (("t", 1), ("c", 0))
+            ))
+            for i in range(n)
+        ]
+
+    spec = BalanceSpec(nominal={"region": NominalRule("near_fine", k=4)})
+    _, details = cross_period_match(pairs(1, 14, 0.0), pairs(2, 22, 0.8), spec)
+    rows_a, rows_b = details.pre_features, details.post_features
+    kinds = _feature_kinds(rows_a + rows_b)
+    rows, ref0, ref1 = _report_and_reference(rows_a, rows_b, kinds, details.index_pairs, "cross", 1200)
+    assert {name: (r.p_before, r.draws_before) for name, r in rows.items()} == ref0
+    assert {name: (r.p_after, r.draws_after) for name, r in rows.items()} == ref1
+    assert any("|" in label for label in (f["region"] for f in rows_a + rows_b))
 
 
 @pytest.mark.parametrize("n_a", [1, 3, 5])
@@ -601,10 +661,11 @@ def test_sequential_balance_pvalues_are_valid_under_random_labels():
     rejections = {"x": Counter(), "b": Counter()}
     for rep in range(reps):
         order = g.permutation(50)
-        ia, ib = np.sort(order[:20]), np.sort(order[20:])
-        features = {"x": [(g.normal(size=50), 1.0)], "b": [((g.random(50) < 0.3).astype(float), 1.0)]}
-        for name, (p, _) in _permutation_pvalues(features, ia, ib, rep, PERMUTATION_DRAWS).items():
-            rejections[name].update(alpha for alpha in alphas if p <= alpha)
+        x, b = g.normal(size=50), (g.random(50) < 0.3).astype(float)
+        units = [{"x": x[i], "b": b[i]} for i in order]
+        stage = _StageData(units[:20], units[20:], {"x": "continuous", "b": "continuous"}, BalanceSpec())
+        for row in _report(stage, [(k, k) for k in range(20)], rep, "period1").rows:
+            rejections[row.covariate].update(alpha for alpha in alphas if row.p_before <= alpha)
     for alpha in alphas:
         lo, hi = binom.ppf(1e-4, reps, alpha), binom.isf(1e-4, reps, alpha)
         assert lo <= rejections["x"][alpha] <= hi
