@@ -98,9 +98,13 @@ class AnalysisConfig:
             raise ConfigError(f"test must be one of {TESTS}, got {self.test!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        if not math.isfinite(self.tau0):
+            raise ConfigError(f"tau0 must be finite, got {self.tau0}")
         for g in self.gammas:
-            if g < 1.0:
-                raise ConfigError(f"gamma values must be >= 1, got {g}")
+            if not 1.0 <= g < math.inf:
+                raise ConfigError(f"gammas must be finite and >= 1, got {g}")
         for lam in self.amplification_lambdas:
             if lam <= 1.0:
                 raise ConfigError(f"amplification lambdas must exceed 1, got {lam}")

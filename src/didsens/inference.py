@@ -153,52 +153,50 @@ def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
     return None
 
 
-# The last DP result, as ((sorted integer scores, p_plus), read-only pmf).
-_last_pmf: tuple[tuple[bytes, float], np.ndarray] | None = None
+# The last DP result, as ((sorted integer scores, p_plus), lo, read-only pmf from lo).
+_last_pmf: tuple[tuple[bytes, float], int, np.ndarray] | None = None
 
 
-def _null_pmf(ints: np.ndarray, p_plus: float) -> np.ndarray:
-    """Read-only pmf of the positive-sign sum of integer scores `ints`.
+def _null_pmf(ints: np.ndarray, p_plus: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Read-only P(T = t), t = lo..min(hi, total), T the positive-sign sum of `ints`.
 
-    The DP runs over the scores in ascending order, so the result depends
-    only on the score multiset, not on row order, and the running support
-    grows as slowly as it can.  The last pmf is kept and served again while
-    (multiset, p_plus) is unchanged: without ties or zeros the signed-rank
-    scores are 1..n at every tau, so a CI inversion or a run of simulation
-    replications needs one DP.
+    The DP runs over the sorted scores and builds only the window asked for.
+    The last result is reused while (multiset, p_plus) and its window cover
+    the request; a second, uncovered request for that key, or any at p_plus
+    = 0.5, builds the whole pmf, so a tie-free CI inversion costs one DP.
     """
     global _last_pmf
     ordered = np.sort(ints)
     key = (ordered.tobytes(), float(p_plus))
+    total = int(ordered.sum())
+    hi = total if hi is None else min(hi, total)
     # One read of the shared slot: the pmf returned always matches `key`.
     entry = _last_pmf
-    if entry is None or entry[0] != key:
-        pmf = kernels.signflip_pmf(ordered, p_plus)
+    if entry is None or entry[0] != key or not entry[1] <= lo <= hi < entry[1] + entry[2].size:
+        start, stop = (0, total) if p_plus == 0.5 or (entry and entry[0] == key) else (lo, hi)
+        pmf = kernels.signflip_pmf(ordered, p_plus, start, stop)
         pmf.flags.writeable = False
-        entry = _last_pmf = (key, pmf)
-    return entry[1]
+        entry = _last_pmf = (key, start, pmf)
+    return entry[2][lo - entry[1] : hi - entry[1] + 1]
 
 
 def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: bool) -> tuple[float, str]:
     """One tail of the null distribution of the positive-sign score sum.
 
-    Routes: exact DP over integer-scaled scores, exhaustive enumeration for
-    n <= ENUM_MAX_N (O(2**n) memory), else a normal approximation without
-    continuity correction.
-    The DP runs once per (score multiset, p_plus), in ascending score order
-    (see `_null_pmf`).
+    Routes: exact DP over integer-scaled scores, building only the tail
+    (`_null_pmf`), exhaustive enumeration for n <= ENUM_MAX_N (O(2**n)
+    memory), else a normal approximation without continuity correction.
     """
     n = q_active.size
     scaled = _integer_scaled(q_active)
     if scaled is not None:
         ints, scale = scaled
-        pmf = _null_pmf(ints, p_plus)
         if greater:
             k = int(np.ceil(t_obs * scale - 1e-9))
-            p = float(pmf[max(k, 0):].sum())
+            p = float(_null_pmf(ints, p_plus, lo=max(k, 0)).sum())
         else:
             k = int(np.floor(t_obs * scale + 1e-9))
-            p = float(pmf[: min(k, len(pmf) - 1) + 1].sum()) if k >= 0 else 0.0
+            p = float(_null_pmf(ints, p_plus, hi=k).sum()) if k >= 0 else 0.0
         return min(p, 1.0), "dp"
     if n <= ENUM_MAX_N:
         # All 2**n subset sums and their probabilities, doubled one score at a time.
@@ -313,9 +311,8 @@ def invert_ci(
     +/-inf when even extreme shifts are not rejected (tiny samples).
     Both bisections start at the score's own estimate, where the two-sided
     p-value is 1: Hodges-Lehmann for ranks, the mean for absolute values.
-    On the DP route the null distribution is computed once per (score
-    multiset, p_plus), in ascending score order, and shared by every probe
-    that sees the same multiset.
+    On the DP route every probe that sees the same score multiset shares
+    one null distribution (see `_null_pmf`).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

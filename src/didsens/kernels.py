@@ -8,10 +8,12 @@ import numpy as np
 BACKEND = "python"
 
 
-def signflip_pmf(scores, p_plus):
+def signflip_pmf(scores, p_plus, lo=0, hi=None):
     """PMF of T = sum(eps_i * q_i), eps_i iid Bernoulli(p_plus), q_i >= 0 ints.
 
-    Returns an array of length sum(q) + 1; entry t is P(T = t).
+    Returns P(T = t) for t = lo..min(hi, sum(q)), hi defaulting to sum(q);
+    empty when no t is left.  Entries that cannot reach the window are never
+    built, and those kept take the same float operations as in the whole pmf.
     """
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError("p_plus must lie in [0, 1]")
@@ -20,18 +22,21 @@ def signflip_pmf(scores, p_plus):
         raise ValueError("scores must be one-dimensional")
     if np.any(q < 0):
         raise ValueError("scores must be nonnegative integers")
-    total = int(q.sum())
-    pmf = np.zeros(total + 1, dtype=np.float64)
+    if lo < 0:
+        raise ValueError("lo must be nonnegative")
+    remaining = int(q.sum())
+    cap = remaining if hi is None else min(hi, remaining)
+    if cap < lo:
+        return np.zeros(0)
+    pmf = np.zeros(cap + 1, dtype=np.float64)
     pmf[0] = 1.0
-    one_minus = 1.0 - p_plus
     top = 0
-    for qi in q:
-        qi = int(qi)
-        if qi == 0:
-            continue
-        # new[t] = old[t] * (1 - p) + old[t - qi] * p
-        shifted = pmf[: top + 1] * p_plus
-        pmf[: top + 1] *= one_minus
-        pmf[qi : top + qi + 1] += shifted
-        top += qi
-    return pmf
+    for qi in q[q > 0].tolist():
+        # new[t] = old[t] * (1 - p) + old[t - qi] * p, for the t that can still reach lo
+        live = max(lo - remaining, 0)
+        remaining -= qi
+        old_top, top = top, min(top + qi, cap)
+        shifted = pmf[live : max(top - qi + 1, 0)] * p_plus
+        pmf[max(lo - remaining, 0) : old_top + 1] *= 1.0 - p_plus
+        pmf[live + qi : top + 1] += shifted
+    return pmf[lo:]

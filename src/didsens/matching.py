@@ -645,6 +645,7 @@ def pair_summaries(pairs: Sequence[MatchedPair], spec: BalanceSpec) -> list[dict
     spec decides: "fine" and "near_fine" give the unordered compound label
     "a|b", "exact" raises, and an undeclared covariate raises an error
     asking for a handling rule.  Covariates with rule "none" are dropped.
+    A continuous covariate without a finite pair mean raises StructuralError.
     """
     out: list[dict[str, float | str]] = []
     for pair in pairs:
@@ -658,6 +659,10 @@ def pair_summaries(pairs: Sequence[MatchedPair], spec: BalanceSpec) -> list[dict
             other = pair.control.covariates[name]
             if not isinstance(value, str):
                 features[name] = 0.5 * (float(value) + float(other))
+                if not math.isfinite(features[name]):
+                    raise StructuralError(
+                        f"pair ({pair.treated.id!r}, {pair.control.id!r}): covariate {name!r} has no finite mean"
+                    )
                 continue
             rule = spec.nominal.get(name)
             kind = rule.kind if rule is not None else None

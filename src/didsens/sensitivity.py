@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .core import QuadrupleSet
@@ -33,7 +34,7 @@ DIRECTIONS = ("upper", "lower")
 # Sign-score tests, which also give a shift estimate, an interval and estimate bounds.
 SCORE_TESTS = ("signed_rank", "permutational_t")
 TESTS = SCORE_TESTS + ("sate", "mcnemar")
-# Width of the bisection bracket that changepoint_gamma returns the lower end of.
+# Width of the probed bracket that changepoint_gamma returns the lower end of.
 CHANGEPOINT_TOL = 1e-4
 
 
@@ -343,24 +344,42 @@ def changepoint_gamma(
 ) -> float | None:
     """Largest gamma at which the worst-case p-value of `test` still meets alpha.
 
-    test is one of TESTS.  Doubles gamma from 1 to bracket the crossing,
-    then bisects to CHANGEPOINT_TOL and returns the bracket's lower end.
-    Returns None when the test already fails at gamma = 1 (there is no
+    test is one of TESTS.  Doubles gamma from 1 to bracket the crossing, then
+    runs Brent's method on sqrt(-2 log alpha) - sqrt(-2 log p(gamma)), nearly
+    linear in gamma, and returns the lower end of the tightest bracket of exact
+    p-values, narrowed to CHANGEPOINT_TOL by probing the root +/- tol / 2 and
+    bisecting if need be.  None when the test already fails at gamma = 1 (no
     significance to lose), inf when the bracket passes 1e6.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     pvalue = upper_pvalues(quads, test, tau0, sided)
+    probed: dict[float, float] = {}
 
-    def lost(gamma: float) -> bool:
-        return pvalue(gamma).p_value > alpha
+    def p(gamma: float) -> float:
+        if gamma not in probed:
+            probed[gamma] = pvalue(gamma).p_value
+        return probed[gamma]
 
-    if lost(1.0):
+    def tightest() -> tuple[float, float]:
+        lo = max(g for g, v in probed.items() if v <= alpha)
+        return lo, min(g for g, v in probed.items() if v > alpha and g > lo)
+
+    if p(1.0) > alpha:
         return None
     lo, hi = 1.0, 2.0
-    while not lost(hi):
+    while p(hi) <= alpha:
         lo = hi
         hi *= 2.0
         if hi > 1e6:
             return math.inf
-    return _bisect(lost, lo, hi, CHANGEPOINT_TOL)[0]
+    target = math.sqrt(-2.0 * math.log(alpha))
+    root = brentq(lambda g: target - math.sqrt(-2.0 * math.log(max(p(g), math.ulp(0.0)))),
+                  lo, hi, xtol=CHANGEPOINT_TOL / 4)
+    lo, hi = tightest()
+    if hi - lo > CHANGEPOINT_TOL:
+        for g in (root - CHANGEPOINT_TOL / 2, root + CHANGEPOINT_TOL / 2):
+            if lo < g < hi:
+                p(g)
+        lo, hi = tightest()
+    return _bisect(lambda g: p(g) > alpha, lo, hi, CHANGEPOINT_TOL)[0]

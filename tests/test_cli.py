@@ -295,6 +295,36 @@ def test_exit_4_on_non_finite_covariate(tmp_path, capsys, bad):
     assert "record 'u14': covariate 'x' is not finite" in capsys.readouterr().err
 
 
+# (mutation, verb) -> (exit code, substring of stderr); a dict mutates the
+# config file, a list is appended to the command line.
+BAD_SETTINGS = [
+    ({"gammas": [math.nan]}, "match", 2, "gammas must be finite and >= 1, got nan"),
+    ({"gammas": [math.nan]}, "sens", 2, "gammas must be finite and >= 1, got nan"),
+    ({"gammas": [1.0, math.inf]}, "sens", 2, "gammas must be finite and >= 1, got inf"),
+    (["--gammas", "1.5,nan"], "sens", 2, "gammas must be finite and >= 1, got nan"),
+    (["--gammas", "inf"], "sens", 2, "gammas must be finite and >= 1, got inf"),
+    ({"tau0": math.nan}, "test", 2, "tau0 must be finite, got nan"),
+    ({"tau0": math.nan}, "sens", 2, "tau0 must be finite, got nan"),
+    (["--tau0", "nan"], "test", 2, "tau0 must be finite, got nan"),
+    ({"seed": -1}, "match", 2, "seed must be a nonnegative integer, got -1"),
+    (["--seed", "-1"], "match", 2, "seed must be a nonnegative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("mutation, verb, code, message", BAD_SETTINGS)
+def test_bad_settings_exit_with_the_key_named(matched, capsys, mutation, verb, code, message):
+    config, out = matched
+    argv = [verb, "--config", str(config)]
+    if isinstance(mutation, dict):
+        config = write_config(config.with_name("bad.yaml"), config.with_name("data.csv"), out, **mutation)
+        argv[2] = str(config)
+    else:
+        argv += mutation
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    assert message in capsys.readouterr().err
+
+
 def test_importing_the_package_writes_nothing_to_stdout():
     # A benchmark run's last stdout line must be its result, so imports stay silent.
     # The package also keeps scipy.stats, the largest import it could pull in, off its path.

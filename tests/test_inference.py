@@ -295,9 +295,9 @@ def test_invert_ci_runs_one_dp_without_ties_or_zeros(monkeypatch):
     calls = []
     kernel = kernels.signflip_pmf
 
-    def counted(scores, p_plus):
+    def counted(scores, p_plus, *args, **kwargs):
         calls.append(p_plus)
-        return kernel(scores, p_plus)
+        return kernel(scores, p_plus, *args, **kwargs)
 
     monkeypatch.setattr(inference, "_last_pmf", None)
     monkeypatch.setattr(kernels, "signflip_pmf", counted)

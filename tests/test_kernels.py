@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from didsens import inference
 from didsens.kernels import BACKEND, signflip_pmf
 from didsens.oracles import exact_null_distribution
 
@@ -65,3 +66,41 @@ def test_pmf_properties(scores, p):
     assert abs(pmf.sum() - 1.0) <= 1e-9
     mean = float(np.arange(pmf.size) @ pmf)
     assert mean == pytest.approx(p * q.sum(), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scores=st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=14),
+    p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    lo=st.integers(min_value=0, max_value=180),
+    hi=st.integers(min_value=-2, max_value=180),
+)
+def test_window_equals_the_whole_pmf_on_it(scores, p, lo, hi):
+    q = np.array(scores, dtype=np.int64)
+    whole = signflip_pmf(q, p)
+    assert np.array_equal(signflip_pmf(q, p, lo, hi), whole[lo : max(hi + 1, 0)])
+    assert np.array_equal(signflip_pmf(q, p, lo), whole[lo:])
+    assert np.array_equal(signflip_pmf(q, p, hi=hi), whole[: max(hi + 1, 0)])
+    # single-cell windows
+    t = min(lo, whole.size - 1)
+    assert np.array_equal(signflip_pmf(q, p, t, t), whole[t : t + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scores=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=14).filter(any),
+    p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    t_obs=st.integers(min_value=-1, max_value=180),
+    less_first=st.booleans(),
+)
+def test_tail_pvalues_equal_the_whole_pmf_sums(scores, p, t_obs, less_first):
+    # whatever the memo holds, each tail sums the same entries as the whole pmf
+    q = np.array(scores, dtype=np.float64)
+    q = q[q > 0]
+    whole = signflip_pmf(np.sort(q.astype(np.int64)), p)
+    expected = {
+        True: min(float(whole[max(t_obs, 0):].sum()), 1.0),
+        False: min(float(whole[: t_obs + 1].sum()), 1.0) if t_obs >= 0 else 0.0,
+    }
+    for greater in (not less_first, less_first):
+        assert inference._tail_pvalue(q, float(t_obs), p, greater) == (expected[greater], "dp")

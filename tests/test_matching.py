@@ -7,7 +7,7 @@ import pytest
 
 from didsens import oracles
 from didsens.core import MatchedPair
-from didsens.errors import ConfigError, InfeasibleMatchError, StructuralError
+from didsens.errors import ConfigError, DataError, InfeasibleMatchError, StructuralError
 from didsens.matching import (
     BalanceSpec,
     NominalRule,
@@ -430,6 +430,14 @@ def test_cross_period_match_swaps_roles_under_min_distance():
 def test_cross_period_match_needs_pairs():
     with pytest.raises(InfeasibleMatchError):
         cross_period_match([], [_pair(0, 2, "north", 1.0, 1.0)], BalanceSpec())
+
+
+def test_cross_period_match_rejects_a_non_finite_pair_covariate():
+    pre = [_pair(i, 1, "north", float(i), float(i) + 0.1) for i in range(5)]
+    post = [_pair(i, 2, "north", float(i), float(i) + 0.2) for i in range(5)]
+    post[3] = _pair(3, 2, "north", 3.0, math.nan)
+    with pytest.raises(DataError, match=r"pair \('p2t3', 'p2c3'\): covariate 'x' has no finite mean"):
+        cross_period_match(pre, post, BalanceSpec(continuous={"x": 0.1}))
 
 
 def test_balance_report_shape_and_determinism():

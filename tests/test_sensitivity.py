@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from didsens.inference import ScoreFunction, hodges_lehmann, randomization_pvalue
+from didsens import inference, kernels
+from didsens.inference import ScoreFunction, _bisect, hodges_lehmann, randomization_pvalue
 from didsens.oracles import brute_force_bound
 from didsens.sensitivity import (
+    CHANGEPOINT_TOL,
+    TESTS,
     SignProbabilityBounds,
     _extreme_deviate,
     amplify_did,
@@ -20,10 +23,11 @@ from didsens.sensitivity import (
     paired_gamma_from,
     sate_pvalue,
     two_param_bounds,
+    upper_pvalues,
     worst_case_pvalue,
 )
 
-from conftest import quadset_from_d
+from conftest import binary_quadset, quadset_from_d
 
 
 def test_two_param_bounds_known_values():
@@ -303,3 +307,93 @@ def test_extreme_deviate_matches_corner_enumeration():
         assert _extreme_deviate(lo, hi, minimize=False) == pytest.approx(
             max(corners), rel=1e-9, abs=1e-9
         )
+
+
+def _changepoint_case(test, ties, seed):
+    """Seeded data with a finite changepoint; ties give tied magnitudes and zeros."""
+    rng = np.random.default_rng(seed)
+    if test == "mcnemar":
+        informative = [(0, 1, 1, 0)] * 45 + [(1, 0, 0, 1)] * 15
+        # ineligible quadruples (tied pre or post pair) are dropped by the test
+        return binary_quadset(informative + ([(1, 1, 1, 0), (1, 0, 1, 0)] * 5 if ties else []))
+    d = rng.normal(0.5, 1.0, 80)
+    if ties:
+        # integer contrasts keep permutational_t on the DP route
+        d = np.round(d * 3) if test == "permutational_t" else np.round(d * 2) / 2
+    return quadset_from_d(d.tolist())
+
+
+def _reference_changepoint(quads, test, alpha, sided):
+    """Doubling then bisection to CHANGEPOINT_TOL on the exact p-value."""
+    pvalue = upper_pvalues(quads, test, 0.0, sided)
+
+    def lost(gamma):
+        return pvalue(gamma).p_value > alpha
+
+    if lost(1.0):
+        return None
+    lo, hi = 1.0, 2.0
+    while not lost(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            return math.inf
+    return _bisect(lost, lo, hi, CHANGEPOINT_TOL)[0]
+
+
+def _brackets_alpha(quads, test, alpha, sided, gamma):
+    pvalue = upper_pvalues(quads, test, 0.0, sided)
+    return pvalue(gamma).p_value <= alpha < pvalue(gamma + 1.01 * CHANGEPOINT_TOL).p_value
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("sided", ["one_sided_greater", "two_sided"])
+@pytest.mark.parametrize("test", TESTS)
+def test_changepoint_brackets_alpha_near_the_bisection(test, sided, ties):
+    quads = _changepoint_case(test, ties, seed=41)
+    gamma = changepoint_gamma(quads, test, alpha=0.05, sided=sided)
+    assert 1.0 < gamma < math.inf
+    assert _brackets_alpha(quads, test, 0.05, sided, gamma)
+    assert abs(gamma - _reference_changepoint(quads, test, 0.05, sided)) < CHANGEPOINT_TOL
+
+
+def test_changepoint_none_unbounded_and_at_one():
+    no_signal = quadset_from_d([-1.0, 2.0, -3.0, 1.0, -2.0])
+    for test in TESTS[:3]:
+        assert changepoint_gamma(no_signal, test, alpha=0.05) is None
+    one = quadset_from_d([1.0])
+    # p(gamma) = gamma^2 / (1 + gamma^2): 1 - 1e-12 at gamma = 1e6, still below alpha
+    assert changepoint_gamma(one, "signed_rank", alpha=1.0 - 1e-13) == math.inf
+    # p(1) equals alpha exactly, so the root is gamma = 1 itself
+    assert changepoint_gamma(one, "signed_rank", alpha=0.5) == 1.0
+
+
+def test_changepoint_when_the_untilted_pvalue_underflows():
+    # all contrasts positive: p(gamma) = p+^n, which is 2^-1100 = 0.0 at gamma = 1
+    n = 1100
+    quads = quadset_from_d([float(k) for k in range(1, n + 1)])
+    assert worst_case_pvalue(quads).p_value == 0.0
+    gamma = changepoint_gamma(quads, "signed_rank", alpha=0.05)
+    p_star = 0.05 ** (1.0 / n)
+    assert abs(gamma - math.sqrt(p_star / (1.0 - p_star))) < CHANGEPOINT_TOL
+    assert _brackets_alpha(quads, "signed_rank", 0.05, "one_sided_greater", gamma)
+
+
+def test_sens_grid_and_changepoint_stay_within_a_dp_budget(monkeypatch):
+    # n = 200 without ties: 5 grid DPs, then at most 10 for the changepoint
+    # (the doubling and bisection took 15 or more)
+    quads = quadset_from_d(np.random.default_rng(0).normal(0.3, 1.0, 200).tolist())
+    calls = []
+    kernel = kernels.signflip_pmf
+
+    def counted(scores, p_plus, *args, **kwargs):
+        calls.append(p_plus)
+        return kernel(scores, p_plus, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "_last_pmf", None)
+    monkeypatch.setattr(kernels, "signflip_pmf", counted)
+    pvalue = upper_pvalues(quads, "signed_rank")
+    for gamma in (1.0, 1.1, 1.25, 1.5, 2.0):
+        pvalue(gamma)
+    assert len(calls) == 5
+    assert changepoint_gamma(quads, "signed_rank", alpha=0.05) > 1.0
+    assert len(calls) <= 15
