@@ -106,8 +106,8 @@ class AnalysisConfig:
             if not 1.0 <= g < math.inf:
                 raise ConfigError(f"gammas must be finite and >= 1, got {g}")
         for lam in self.amplification_lambdas:
-            if lam <= 1.0:
-                raise ConfigError(f"amplification lambdas must exceed 1, got {lam}")
+            if not 1.0 < lam < math.inf:
+                raise ConfigError(f"amplification_lambdas must be finite and exceed 1, got {lam}")
 
 
 def _as_float_tuple(value, key: str) -> tuple:

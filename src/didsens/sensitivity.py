@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .core import QuadrupleSet
@@ -345,12 +344,13 @@ def changepoint_gamma(
     """Largest gamma at which the worst-case p-value of `test` still meets alpha.
 
     test is one of TESTS.  Doubles gamma from 1 to bracket the crossing, then
-    runs Brent's method on sqrt(-2 log alpha) - sqrt(-2 log p(gamma)), nearly
-    linear in gamma, and returns the lower end of the tightest bracket of exact
-    p-values, narrowed to CHANGEPOINT_TOL by probing the root +/- tol / 2 and
-    bisecting if need be.  None when the test already fails at gamma = 1 (no
-    significance to lose), inf when the bracket passes 1e6.
+    runs Brent's method on sqrt(-2 log alpha) - sqrt(-2 log p), nearly linear
+    in gamma; returns the lower end of the tightest bracket of exact p-values,
+    narrowed to CHANGEPOINT_TOL by probing the root +/- tol/2, then bisecting.
+    None when the test fails at gamma = 1, inf when the bracket passes 1e6.
     """
+    # Not at module level: that reorders the package's imports and adds 0.4 MB to forked processes.
+    from scipy.optimize import brentq
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     pvalue = upper_pvalues(quads, test, tau0, sided)

@@ -306,6 +306,8 @@ BAD_SETTINGS = [
     ({"tau0": math.nan}, "test", 2, "tau0 must be finite, got nan"),
     ({"tau0": math.nan}, "sens", 2, "tau0 must be finite, got nan"),
     (["--tau0", "nan"], "test", 2, "tau0 must be finite, got nan"),
+    ({"amplification_lambdas": [math.nan]}, "sens", 2, "amplification_lambdas must be finite and exceed 1, got nan"),
+    (["--lambdas", "3,inf"], "sens", 2, "amplification_lambdas must be finite and exceed 1, got inf"),
     ({"seed": -1}, "match", 2, "seed must be a nonnegative integer, got -1"),
     (["--seed", "-1"], "match", 2, "seed must be a nonnegative integer, got -1"),
 ]
