@@ -63,6 +63,7 @@ from .sensitivity import (
     paired_gamma_from,
     sate_pvalue,
     two_param_bounds,
+    upper_pvalues,
     worst_case_pvalue,
 )
 from .simulate import (
@@ -129,6 +130,7 @@ __all__ = [
     "sate_pvalue",
     "standardized_difference",
     "two_param_bounds",
+    "upper_pvalues",
     "validate_dataset",
     "within_period_match",
     "worst_case_pvalue",

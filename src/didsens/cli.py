@@ -573,7 +573,7 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
                 "amplification": _amplification_rows(gamma, cfg.amplification_lambdas),
             }
         )
-    cp = changepoint_gamma(quads, tau0=cfg.tau0, test=cfg.test, alpha=cfg.alpha, sided=cfg.sided)
+    cp = changepoint_gamma(pvalue, cfg.alpha)
     if cp is None:
         changepoint = None
     else:

@@ -12,6 +12,7 @@ of two-parameter explanations with the same worst case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -312,12 +313,13 @@ def upper_pvalues(
     tau0: float = 0.0,
     sided: str = "one_sided_greater",
 ) -> Callable[[float], TestResult]:
-    """Worst-case (upper) p-value of the named test, as a function of gamma.
+    """Worst-case (upper) p-value of the named test, as a memoised function of gamma.
 
     The one place a test name picks its engine: the sign-score tests run
     `worst_case_pvalue` with `score_for(test)`, sate runs `sate_pvalue` and
     mcnemar runs the unit-score sign test on the eligible quadruples.  The
-    score, or the eligible quadruples, are fixed once for every gamma.
+    score, or the eligible quadruples, are fixed once for every gamma, and
+    each gamma is computed once per curve.
     """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
@@ -327,38 +329,31 @@ def upper_pvalues(
         from .binary import eligible_quadruples, mcnemar_sensitivity_pvalue
 
         eligible = eligible_quadruples(quads)
-        return lambda gamma: mcnemar_sensitivity_pvalue(eligible, gamma, "upper", sided)
+        return functools.cache(lambda gamma: mcnemar_sensitivity_pvalue(eligible, gamma, "upper", sided))
     if test == "sate":
-        return lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided)
+        return functools.cache(lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided))
     score = score_for(test)
-    return lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided)
+    return functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
 
 
-def changepoint_gamma(
-    quads: QuadrupleSet,
-    test: str,
-    tau0: float = 0.0,
-    alpha: float = 0.05,
-    sided: str = "one_sided_greater",
-) -> float | None:
-    """Largest gamma at which the worst-case p-value of `test` still meets alpha.
+def changepoint_gamma(pvalue: Callable[[float], TestResult], alpha: float = 0.05) -> float | None:
+    """Largest gamma at which a worst-case p-value curve from `upper_pvalues` meets alpha.
 
-    test is one of TESTS.  Doubles gamma from 1 to bracket the crossing, then
-    runs Brent's method on sqrt(-2 log alpha) - sqrt(-2 log p), nearly linear
-    in gamma; returns the lower end of the tightest bracket of exact p-values,
-    narrowed to CHANGEPOINT_TOL by probing the root +/- tol/2, then bisecting.
+    Doubles gamma from 1 to bracket the crossing, then runs Brent's method on
+    sqrt(-2 log alpha) - sqrt(-2 log p), nearly linear in gamma; returns the
+    lower end of the tightest bracket this search probed, narrowed to
+    CHANGEPOINT_TOL by probing the root +/- tol/2, then bisecting.  The probes
+    do not depend on what the curve was asked before; its memo answers repeats.
     None when the test fails at gamma = 1, inf when the bracket passes 1e6.
     """
     # Not at module level: that reorders the package's imports and adds 0.4 MB to forked processes.
     from scipy.optimize import brentq
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    pvalue = upper_pvalues(quads, test, tau0, sided)
     probed: dict[float, float] = {}
 
     def p(gamma: float) -> float:
-        if gamma not in probed:
-            probed[gamma] = pvalue(gamma).p_value
+        probed[gamma] = pvalue(gamma).p_value
         return probed[gamma]
 
     def tightest() -> tuple[float, float]:

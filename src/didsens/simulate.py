@@ -291,7 +291,8 @@ def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> di
             return _uninformative_row(plan)
         if plan.mcnemar_budget is not None:
             quads = eligible.subset(slice(plan.mcnemar_budget))
-    res = upper_pvalues(quads, plan.test, plan.tau0, plan.sided)(plan.gamma)
+    pvalue = upper_pvalues(quads, plan.test, plan.tau0, plan.sided)
+    res = pvalue(plan.gamma)
     row = {"statistic": res.statistic, "p_value": res.p_value, "n_effective": res.n_effective}
     if plan.compute_hl:
         row["hl"] = hodges_lehmann(quads)
@@ -301,7 +302,7 @@ def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> di
         row["bound_upper"] = hi
         row["covered"] = int(lo - 1e-9 <= true_tau <= hi + 1e-9)
     if plan.compute_changepoint:
-        cp = changepoint_gamma(quads, tau0=plan.tau0, test=plan.test, alpha=plan.alpha, sided=plan.sided)
+        cp = changepoint_gamma(pvalue, plan.alpha)
         row["changepoint"] = np.nan if cp is None else cp
     return row
 

@@ -13,7 +13,7 @@ from didsens.binary import (
 )
 from didsens.errors import DegenerateDataError, StructuralError
 from didsens.oracles import mcnemar_tail_exact
-from didsens.sensitivity import changepoint_gamma, two_param_bounds
+from didsens.sensitivity import changepoint_gamma, two_param_bounds, upper_pvalues
 
 from conftest import binary_quadset, quadset_from_d
 
@@ -138,13 +138,13 @@ def test_binary_changepoint_routes_through_exact_binomial():
     # 14 of 15 positive is significant at gamma 1; the changepoint solves
     # the worst-case binomial tail equal to alpha
     qs = binary_quadset([POSITIVE] * 14 + [NEGATIVE])
-    g = changepoint_gamma(qs, test="mcnemar", alpha=0.05)
+    g = changepoint_gamma(upper_pvalues(qs, "mcnemar"), alpha=0.05)
     assert g is not None
     els = eligible_quadruples(qs)
     assert mcnemar_sensitivity_pvalue(els, gamma=g).p_value <= 0.05
     assert mcnemar_sensitivity_pvalue(els, gamma=g + 0.01).p_value > 0.05
     with pytest.raises(ValueError, match="tau0"):
-        changepoint_gamma(qs, test="mcnemar", tau0=0.5)
+        upper_pvalues(qs, "mcnemar", tau0=0.5)
 
 
 def test_binary_bounds_are_the_shared_closed_form():

@@ -13,7 +13,7 @@ import yaml
 
 from didsens import cli, matching
 from didsens.cli import read_quadruples_csv
-from didsens.sensitivity import changepoint_gamma, sate_pvalue
+from didsens.sensitivity import changepoint_gamma, sate_pvalue, upper_pvalues
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -213,7 +213,7 @@ def test_sate_sens_changepoint_brackets_alpha(matched):
         return sate_pvalue(quads, gamma=g).p_value
 
     assert p_at(gamma) <= 0.05 < p_at(gamma + 1.01e-4)
-    assert changepoint_gamma(quads, test="sate") == gamma
+    assert changepoint_gamma(upper_pvalues(quads, "sate")) == gamma
 
 
 def test_amplify_command_values(tmp_path, capsys):

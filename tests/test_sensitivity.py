@@ -243,7 +243,7 @@ def test_changepoint_all_positive_closed_form():
     # with every contrast positive the worst-case tail is p+^n, so the
     # changepoint solves p+^10 = alpha
     qs = quadset_from_d([float(k) for k in range(1, 11)])
-    g = changepoint_gamma(qs, test="signed_rank", alpha=0.05)
+    g = changepoint_gamma(upper_pvalues(qs, "signed_rank"), alpha=0.05)
     p_star = 0.05 ** (1.0 / 10.0)
     expected = math.sqrt(p_star / (1.0 - p_star))
     assert g == pytest.approx(expected, abs=1e-3)
@@ -251,7 +251,7 @@ def test_changepoint_all_positive_closed_form():
 
 def test_changepoint_none_without_significance():
     qs = quadset_from_d([-1.0, 2.0, -3.0, 1.0, -2.0])
-    assert changepoint_gamma(qs, test="signed_rank", alpha=0.05) is None
+    assert changepoint_gamma(upper_pvalues(qs, "signed_rank"), alpha=0.05) is None
 
 
 def test_sate_gamma_one_is_the_z_test():
@@ -350,21 +350,26 @@ def _brackets_alpha(quads, test, alpha, sided, gamma):
 @pytest.mark.parametrize("test", TESTS)
 def test_changepoint_brackets_alpha_near_the_bisection(test, sided, ties):
     quads = _changepoint_case(test, ties, seed=41)
-    gamma = changepoint_gamma(quads, test, alpha=0.05, sided=sided)
+    gamma = changepoint_gamma(upper_pvalues(quads, test, 0.0, sided), alpha=0.05)
     assert 1.0 < gamma < math.inf
     assert _brackets_alpha(quads, test, 0.05, sided, gamma)
     assert abs(gamma - _reference_changepoint(quads, test, 0.05, sided)) < CHANGEPOINT_TOL
+    # a curve that has already answered a grid gives the same changepoint
+    asked = upper_pvalues(quads, test, 0.0, sided)
+    for g in (1.0, 1.1, 1.25, 1.5, 2.0, 3.0):
+        asked(g)
+    assert changepoint_gamma(asked, alpha=0.05) == gamma
 
 
 def test_changepoint_none_unbounded_and_at_one():
     no_signal = quadset_from_d([-1.0, 2.0, -3.0, 1.0, -2.0])
     for test in TESTS[:3]:
-        assert changepoint_gamma(no_signal, test, alpha=0.05) is None
+        assert changepoint_gamma(upper_pvalues(no_signal, test), alpha=0.05) is None
     one = quadset_from_d([1.0])
     # p(gamma) = gamma^2 / (1 + gamma^2): 1 - 1e-12 at gamma = 1e6, still below alpha
-    assert changepoint_gamma(one, "signed_rank", alpha=1.0 - 1e-13) == math.inf
+    assert changepoint_gamma(upper_pvalues(one, "signed_rank"), alpha=1.0 - 1e-13) == math.inf
     # p(1) equals alpha exactly, so the root is gamma = 1 itself
-    assert changepoint_gamma(one, "signed_rank", alpha=0.5) == 1.0
+    assert changepoint_gamma(upper_pvalues(one, "signed_rank"), alpha=0.5) == 1.0
 
 
 def test_changepoint_when_the_untilted_pvalue_underflows():
@@ -372,15 +377,15 @@ def test_changepoint_when_the_untilted_pvalue_underflows():
     n = 1100
     quads = quadset_from_d([float(k) for k in range(1, n + 1)])
     assert worst_case_pvalue(quads).p_value == 0.0
-    gamma = changepoint_gamma(quads, "signed_rank", alpha=0.05)
+    gamma = changepoint_gamma(upper_pvalues(quads, "signed_rank"), alpha=0.05)
     p_star = 0.05 ** (1.0 / n)
     assert abs(gamma - math.sqrt(p_star / (1.0 - p_star))) < CHANGEPOINT_TOL
     assert _brackets_alpha(quads, "signed_rank", 0.05, "one_sided_greater", gamma)
 
 
 def test_sens_grid_and_changepoint_stay_within_a_dp_budget(monkeypatch):
-    # n = 200 without ties: 5 grid DPs, then at most 10 for the changepoint
-    # (the doubling and bisection took 15 or more)
+    # n = 200 without ties: 5 grid DPs, then 5 more for the changepoint on the
+    # grid's curve, which answers gamma = 1 and 2 from its memo
     quads = quadset_from_d(np.random.default_rng(0).normal(0.3, 1.0, 200).tolist())
     calls = []
     kernel = kernels.signflip_pmf
@@ -395,5 +400,6 @@ def test_sens_grid_and_changepoint_stay_within_a_dp_budget(monkeypatch):
     for gamma in (1.0, 1.1, 1.25, 1.5, 2.0):
         pvalue(gamma)
     assert len(calls) == 5
-    assert changepoint_gamma(quads, "signed_rank", alpha=0.05) > 1.0
-    assert len(calls) <= 15
+    assert changepoint_gamma(pvalue, alpha=0.05) > 1.0
+    assert len(calls) == 10
+    assert len(set(calls)) == len(calls)
