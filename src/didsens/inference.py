@@ -245,7 +245,13 @@ def _signscore_pvalue(
         routes.append(route)
         return p
 
-    p = _sided_pvalue(lambda: tail(p_greater_tail, True), lambda: tail(p_less_tail, False), sided)
+    if sided == "two_sided" and p_less_tail <= p_greater_tail:
+        # Then less >= 1 - greater: a greater tail below 1/2, by more than
+        # rounding, is the smaller one, and the less tail is never built.
+        g = tail(p_greater_tail, True)
+        p = min(1.0, 2.0 * (g if g < 0.5 - 1e-9 else min(g, tail(p_less_tail, False))))
+    else:
+        p = _sided_pvalue(lambda: tail(p_greater_tail, True), lambda: tail(p_less_tail, False), sided)
     return t_obs, p, routes[0], int(q_active.size)
 
 

@@ -306,6 +306,47 @@ def test_invert_ci_runs_one_dp_without_ties_or_zeros(monkeypatch):
     assert calls == [0.5]
 
 
+def _two_sided_case(route, rng):
+    """Contrasts and score for one route: rounded d on the DP, irrational magnitudes otherwise."""
+    if route == "dp":
+        n = int(rng.integers(5, 301))
+        d = np.round(rng.normal(rng.uniform(-0.5, 0.8), 1.0, n) * 2) / 2
+        return d, ScoreFunction.wilcoxon() if rng.random() < 0.5 else ScoreFunction.absolute_value()
+    n = int(rng.integers(5, 21)) if route == "enumeration" else int(rng.integers(25, 301))
+    return rng.normal(rng.uniform(-0.5, 0.8), 1.0, n) + math.sqrt(2.0) * 1e-3, ScoreFunction.absolute_value()
+
+
+@pytest.mark.parametrize("route", ["dp", "enumeration", "normal"])
+def test_two_sided_worst_case_equals_the_smaller_of_both_tails(route):
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        d, score = _two_sided_case(route, rng)
+        gamma = float(rng.uniform(1.0, 3.0)) if rng.random() < 0.8 else 1.0
+        p_lo, p_hi = one_param_bounds(gamma)
+        q = score.scores(np.abs(d))
+        t_obs, q_active = float(q[d > 0].sum()), q[q > 0]
+        greater = inference._tail_pvalue(q_active, t_obs, p_hi, True)[0]
+        less = inference._tail_pvalue(q_active, t_obs, p_lo, False)[0]
+        res = worst_case_pvalue(quadset_from_d(d.tolist()), score=score, gamma=gamma, sided="two_sided")
+        assert res.method.split(":")[1] == route
+        assert res.p_value == min(1.0, 2.0 * min(greater, less))
+
+
+def test_two_sided_worst_case_builds_only_the_deciding_tail(monkeypatch):
+    quads = quadset_from_d(np.random.default_rng(0).normal(0.6, 1.0, 200).tolist())
+    calls = []
+    kernel = kernels.signflip_pmf
+
+    def counted(scores, p_plus, *args, **kwargs):
+        calls.append(p_plus)
+        return kernel(scores, p_plus, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "_last_pmf", None)
+    monkeypatch.setattr(kernels, "signflip_pmf", counted)
+    assert worst_case_pvalue(quads, gamma=1.5, sided="two_sided").p_value < 0.5
+    assert calls == [one_param_bounds(1.5)[1]]
+
+
 def test_dp_results_do_not_depend_on_row_order():
     # one-decimal contrasts tie often: half ranks, the scale-2 DP route
     rng = np.random.default_rng(37)
