@@ -308,9 +308,14 @@ class _StageData:
         self.codes: dict[str, np.ndarray] = {}
         for name in sorted(n for n, k in kinds.items() if k == "nominal"):
             self.labels[name], self.codes[name] = np.unique([str(r[name]) for r in rows], return_inverse=True)
-        # Full-sample pooled SDs, fixed once per stage.
+        # Full-sample pooled SDs, fixed once per stage.  One that overflows would
+        # turn every standardized difference into 0, so it is rejected by name.
         ga, gb = np.arange(self.n_t), np.arange(self.n_t, len(rows))
-        self.scales = {name: pooled_sd(self.x[:, j], ga, gb) for j, name in enumerate(self.cont_names)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scales = {name: pooled_sd(self.x[:, j], ga, gb) for j, name in enumerate(self.cont_names)}
+        for name, sd in self.scales.items():
+            if not math.isfinite(sd):
+                raise StructuralError(f"covariate {name!r}: its spread overflows float64; rescale it")
 
     @cached_property
     def dist(self) -> np.ndarray:

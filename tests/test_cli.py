@@ -281,8 +281,16 @@ def test_exit_4_on_invalid_dataset_lists_five_problems(tmp_path, capsys):
     assert capsys.readouterr().err == f"data error: invalid dataset: {shown}; and 2 more\n"
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_exit_4_on_non_finite_covariate(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("nan", "record 'u14': covariate 'x' is not finite"),
+        ("inf", "record 'u14': covariate 'x' is not finite"),
+        # finite, but its square is not: the pooled SD would overflow
+        ("1.5e308", "covariate 'x': its spread overflows float64"),
+    ],
+)
+def test_exit_4_on_non_finite_covariate(tmp_path, capsys, bad, message):
     data = tmp_path / "data.csv"
     write_dataset(data)
     lines = data.read_text().splitlines()
@@ -292,7 +300,8 @@ def test_exit_4_on_non_finite_covariate(tmp_path, capsys, bad):
     data.write_text("\n".join(lines) + "\n")
     config = write_config(tmp_path / "config.yaml", data, tmp_path / "out")
     assert cli.main(["match", "--config", str(config)]) == 4
-    assert "record 'u14': covariate 'x' is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Warning" not in err
 
 
 # (mutation, verb) -> (exit code, substring of stderr); a dict mutates the

@@ -438,6 +438,10 @@ def test_cross_period_match_rejects_a_non_finite_pair_covariate():
     post[3] = _pair(3, 2, "north", 3.0, math.nan)
     with pytest.raises(DataError, match=r"pair \('p2t3', 'p2c3'\): covariate 'x' has no finite mean"):
         cross_period_match(pre, post, BalanceSpec(continuous={"x": 0.1}))
+    # a finite pair mean whose spread across pairs overflows
+    post[3] = _pair(3, 2, "north", 1.5e308, 0.0)
+    with pytest.raises(DataError, match="covariate 'x': its spread overflows float64"):
+        cross_period_match(pre, post, BalanceSpec(continuous={"x": 0.1}))
 
 
 def test_balance_report_shape_and_determinism():
