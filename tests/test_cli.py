@@ -289,6 +289,7 @@ def test_exit_4_on_invalid_dataset_lists_five_problems(tmp_path, capsys):
         # finite, but its square is not: the pooled SD would overflow
         ("1.5e308", "covariate 'x': its spread overflows float64"),
     ],
+    ids=["nan", "inf", "1.5e308"],
 )
 def test_exit_4_on_non_finite_covariate(tmp_path, capsys, bad, message):
     data = tmp_path / "data.csv"
