@@ -1,18 +1,23 @@
-"""Every artifact of the benchmark workloads keeps its bytes.
+"""Every artifact of the benchmark workloads and the verbs beside them keeps its bytes.
 
 The inputs are perfbench's `study_rank`, `study_balance` and `mc_null`
-workloads at one seed.  `tests/golden/manifest.json` records the sha256,
-size and per-line digests of each file that `match`, `test`, `sens` and
-`simulate` write for them, with the Python, numpy and scipy versions that
+workloads at one seed, plus a seeded binary study written here.  The runs
+are each workload's verbs, `match --objective minimize_total_distance` on
+`study_rank`'s inputs, the binary study's `match`, then `test` and `sens`
+one-sided and two-sided, `amplify --json` and `patterns`.
+`tests/golden/manifest.json` records the sha256, size and per-line digests
+of each file they write, with the Python, numpy and scipy versions that
 produced it.  Floating-point bytes may differ on other versions, so a
 version mismatch fails and names the versions.
 
-A change that moves an artifact on purpose rewrites the manifest with
+A change that moves an artifact on purpose rewrites the manifest, and
+lists the files whose hashes changed, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -23,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import yaml
 
 from didsens.cli import main
 
@@ -41,15 +47,67 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def _run(*argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([str(a) for a in argv])
+    assert rc == 0, f"{' '.join(map(str, argv))} exited {rc}"
+
+
+def _write_binary_study(inputs: Path) -> Path:
+    """A seeded 0/1-outcome study, 200 treated and 400 controls per period; returns its config.
+
+    Outcomes follow a logit in x with a treated post-period shift, and the
+    matching carries a 0.1 SD cap on x and fine balance on cat.
+    """
+    rng = np.random.default_rng(SEED)
+    rows = []
+    for period in (1, 2):
+        for z, count in ((1, 200), (0, 400)):
+            x = rng.normal(0.25 * z, 1.0, count)
+            cat = rng.choice(["c1", "c2", "c3"], size=count, p=[0.5, 0.3, 0.2] if z else None)
+            y = rng.random(count) < 1.0 / (1.0 + np.exp(0.2 - 0.5 * x - 2.5 * z * (period - 1)))
+            rows += [[period, z, int(y[k]), repr(float(x[k])), str(cat[k])] for k in range(count)]
+    inputs.mkdir(parents=True)
+    data = inputs / "data.csv"
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["unit", "period", "z", "y", "x", "cat"])
+        writer.writerows([f"u{i}", *row] for i, row in enumerate(rows))
+    config = inputs / "binary.yaml"
+    config.write_text(yaml.safe_dump({
+        "input": str(data),
+        "seed": SEED,
+        "outcome": {"column": "y", "kind": "binary"},
+        "id": {"column": "unit"},
+        "covariates": {
+            "x": {"role": "continuous", "threshold": 0.1},
+            "cat": {"role": "nominal", "balance": "fine"},
+        },
+        "test": "mcnemar",
+        "gammas": [1.0, 1.1, 1.25, 1.5],
+        "amplification_lambdas": [2.0],
+    }), encoding="utf-8")
+    return config
+
+
 def regenerate(root: Path) -> dict[str, bytes]:
-    """Run every workload's verbs under `root`; return each artifact's bytes by relative path."""
+    """Run every verb above under `root`; return each artifact's bytes by relative path."""
     for name in workloads.WORKLOADS:
-        out = root / name / "out"
-        for config in workloads.write_inputs(name, SEED, root / name / "in", out):
+        for config in workloads.write_inputs(name, SEED, root / name / "in", root / name / "out"):
             for verb in workloads.verb_sequence(name):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = main([verb, "--config", str(config)])
-                assert rc == 0, f"{name} {config.name} {verb} exited {rc}"
+                _run(verb, "--config", config)
+    _run("match", "--config", root / "study_rank" / "in" / "study0.yaml",
+         "--objective", "minimize_total_distance", "--output-dir", root / "study_rank_min_distance" / "out")
+    config = _write_binary_study(root / "binary_study" / "in")
+    out = root / "binary_study" / "out"
+    _run("match", "--config", config, "--output-dir", out / "match")
+    for sided in ("one_sided_greater", "two_sided"):
+        for verb in ("test", "sens"):
+            _run(verb, "--config", config, "--quadruples", out / "match" / "quadruples.csv",
+                 "--sided", sided, "--output-dir", out / sided)
+    (root / "amplify" / "out").mkdir(parents=True)
+    _run("amplify", "--gamma", "2", "--lambdas", "3,4", "--json", root / "amplify" / "out" / "amplify.json")
+    _run("patterns", "--outdir", root / "patterns" / "out")
     return {
         path.relative_to(root).as_posix().replace("/out/", "/", 1): path.read_bytes()
         for path in sorted(root.glob("*/out/**/*"))
@@ -109,6 +167,12 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = manifest_of(regenerate(Path(tmp)))
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["files"] if MANIFEST.exists() else {}
+    new = manifest["files"]
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name, {}).get("sha256") != new.get(name, {}).get("sha256"):
+            status = "removed" if name not in new else "added" if name not in old else "changed"
+            print(f"{status}: {name}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {MANIFEST} ({len(manifest['files'])} files)", file=sys.stderr)
