@@ -1,9 +1,10 @@
 """Binary-outcome path: eligibility filtering and McNemar's test.
 
 With 0/1 outcomes, only quadruples whose pairs are discordant in opposite
-directions carry sign information; their contrasts are +/-2.  The count of
-positive signs among them is the sign-score statistic with unit scores, so
-it runs through the same sign-flip DP, whose pmf is then Binomial(n, p),
+directions carry sign information; their contrasts are +/-2.  McNemar's
+count of +2s is the sign-score statistic with `ScoreFunction.mcnemar()`
+(1 where |d| = 2, else 0, the one definition of "informative"), so it runs
+through the same sign-flip DP, whose pmf is then Binomial(n, p),
 p = gamma^2/(1 + gamma^2) in the worst case ("mcnemar:dp:gamma=..." in `method`).
 """
 
@@ -11,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import QuadrupleSet
 from .errors import DegenerateDataError, StructuralError
-from .inference import ScoreFunction, TestResult, _signscore_pvalue
-from .sensitivity import SignProbabilityBounds, _tilt, two_param_bounds
+from .inference import ScoreFunction, TestResult
+from .sensitivity import SignProbabilityBounds, two_param_bounds, worst_case_pvalue
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,14 @@ def eligibility_report(quads: QuadrupleSet) -> EligibilityReport:
     """Filter to informative quadruples, preserving input order."""
     if quads.outcome_kind != "binary":
         raise StructuralError("eligibility filtering requires outcome_kind='binary'")
+    eligible = ScoreFunction.mcnemar().scores(abs(quads.d_values())) > 0
     y = quads.outcomes
-    not_binary = (y != 0) & (y != 1)
-    if not_binary.any():
-        raise StructuralError(f"record {str(quads.ids[not_binary][0])!r}: binary outcome must be 0 or 1")
     pre_disc = y[:, 0] != y[:, 1]
     post_disc = y[:, 2] != y[:, 3]
-    opposite = y[:, 0] + y[:, 2] == 1
-    eligible = pre_disc & post_disc & opposite
     reasons = {
         "pre_concordant": int((~pre_disc).sum()),
         "post_concordant": int((~post_disc).sum()),
-        "same_direction": int((pre_disc & post_disc & ~opposite).sum()),
+        "same_direction": int((pre_disc & post_disc & ~eligible).sum()),
     }
     return EligibilityReport(
         eligible=quads.subset(eligible),
@@ -78,19 +73,9 @@ def mcnemar_sensitivity_pvalue(
 
     At gamma = 1 this is the exact McNemar-style randomization test.
     """
-    p_greater_tail, p_less_tail = _tilt(gamma, direction)
     if len(eligible) == 0:
         raise DegenerateDataError("no eligible quadruples; the binary design carries no information")
-    t, p_val, route, n = _signscore_pvalue(
-        np.sign(eligible.d_values()), 0.0, ScoreFunction.absolute_value(), p_greater_tail, p_less_tail, sided
-    )
-    return TestResult(
-        statistic=t,
-        p_value=p_val,
-        sided=sided,
-        method=f"mcnemar:{route}:gamma={gamma:g}:{direction}",
-        n_effective=n,
-    )
+    return worst_case_pvalue(eligible, 0.0, ScoreFunction.mcnemar(), gamma, direction, sided)
 
 
 def binary_two_param_bounds(lam: float, delta: float) -> SignProbabilityBounds:

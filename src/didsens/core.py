@@ -96,9 +96,10 @@ def _quad_rows(values, dtype) -> np.ndarray:
 class QuadrupleSet:
     """Quadruples over disjoint units, one row per quadruple.
 
-    ids and outcomes are (n, 4) arrays whose columns follow SLOTS; d holds
-    each row's contrast (post treated - post control) - (pre treated - pre
-    control), which must be finite.  All three are read-only.
+    ids and outcomes are (n, 4) arrays whose columns follow SLOTS, binary
+    outcomes 0 or 1; d holds each row's contrast (post treated - post
+    control) - (pre treated - pre control), which must be finite.  All
+    three are read-only.
     """
 
     ids: np.ndarray
@@ -115,6 +116,10 @@ class QuadrupleSet:
         y = _quad_rows(self.outcomes, np.float64)
         if ids.shape != y.shape:
             raise StructuralError(f"{ids.shape[0]} id rows but {y.shape[0]} outcome rows")
+        if self.outcome_kind == "binary":
+            not_binary = (y != 0) & (y != 1)
+            if not_binary.any():
+                raise StructuralError(f"record {str(ids[not_binary][0])!r}: binary outcome must be 0 or 1")
         units, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")

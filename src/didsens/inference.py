@@ -44,8 +44,8 @@ def average_ranks(a: np.ndarray) -> np.ndarray:
 class ScoreFunction:
     """Maps contrast magnitudes to nonnegative scores.
 
-    Scores must be 0 wherever the magnitude is 0 (zero contrasts carry no
-    sign information and are dropped).
+    Scores must be 0 wherever the magnitude is 0; contrasts scored 0 carry
+    no sign information and are dropped.
     """
 
     kind: str
@@ -60,6 +60,11 @@ class ScoreFunction:
         """Identity scores; the statistic is a permutational t variant."""
         return ScoreFunction(kind="absolute_value")
 
+    @staticmethod
+    def mcnemar() -> "ScoreFunction":
+        """1 where the magnitude is 2 (0/1 pairs discordant in opposite directions), else 0."""
+        return ScoreFunction(kind="mcnemar")
+
     def scores(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
         if np.any(a < 0):
@@ -71,6 +76,8 @@ class ScoreFunction:
             return q
         if self.kind == "absolute_value":
             return a.copy()
+        if self.kind == "mcnemar":
+            return (a == 2.0).astype(np.float64)
         raise ValueError(f"unknown score kind {self.kind!r}")
 
     def estimate(self, d: np.ndarray, p: float) -> float:
@@ -100,6 +107,8 @@ class ScoreFunction:
             # The root lies below the k largest d and at or above the rest.
             k = int(np.count_nonzero(s - mean - c * (top[:-1] - np.arange(n) * s) > 0))
             return float(mean + c * (top[k] - k * mean) / (1.0 + c * k))
+        if self.kind == "mcnemar":
+            raise ValueError("McNemar scores define no shift estimate")
         raise ValueError(f"unknown score kind {self.kind!r}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import QuadrupleSet
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, StructuralError
 from .inference import (
     ScoreFunction,
     TestResult,
@@ -315,24 +315,22 @@ def upper_pvalues(
 ) -> Callable[[float], TestResult]:
     """Worst-case (upper) p-value of the named test, as a memoised function of gamma.
 
-    The one place a test name picks its engine: the sign-score tests run
-    `worst_case_pvalue` with `score_for(test)`, sate runs `sate_pvalue` and
-    mcnemar runs the unit-score sign test on the eligible quadruples.  The
-    score, or the eligible quadruples, are fixed once for every gamma, and
-    each gamma is computed once per curve.
+    The one place a test name picks its engine: sate runs `sate_pvalue`, the
+    others `worst_case_pvalue` on the quadruples given, with `score_for(test)`
+    or, for mcnemar, `ScoreFunction.mcnemar()`, which scores uninformative
+    quadruples 0.  Each gamma is computed once per curve.
     """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
-    if test == "mcnemar":
-        if tau0 != 0.0:
-            raise ValueError("binary designs test the sharp null; tau0 must be 0")
-        from .binary import eligible_quadruples, mcnemar_sensitivity_pvalue
-
-        eligible = eligible_quadruples(quads)
-        return functools.cache(lambda gamma: mcnemar_sensitivity_pvalue(eligible, gamma, "upper", sided))
     if test == "sate":
         return functools.cache(lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided))
     score = score_for(test)
+    if test == "mcnemar":
+        if tau0 != 0.0:
+            raise ValueError("binary designs test the sharp null; tau0 must be 0")
+        if quads.outcome_kind != "binary":
+            raise StructuralError("test mcnemar requires outcome_kind='binary'")
+        score = ScoreFunction.mcnemar()
     return functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
 
 

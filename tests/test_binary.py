@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,8 +13,16 @@ from didsens.binary import (
     mcnemar_statistic,
 )
 from didsens.errors import DegenerateDataError, StructuralError
+from didsens.inference import SIDES, ScoreFunction, _signscore_pvalue
 from didsens.oracles import mcnemar_tail_exact
-from didsens.sensitivity import changepoint_gamma, two_param_bounds, upper_pvalues
+from didsens.sensitivity import (
+    DIRECTIONS,
+    _tilt,
+    changepoint_gamma,
+    two_param_bounds,
+    upper_pvalues,
+    worst_case_pvalue,
+)
 
 from conftest import binary_quadset, quadset_from_d
 
@@ -38,6 +47,25 @@ def test_eligibility_filter_and_reasons():
     assert rep.reasons["same_direction"] == 1
 
 
+def test_informative_rule_agrees_on_all_16_binary_patterns():
+    # both pairs discordant in opposite directions <=> |d| = 2 <=> McNemar score 1
+    patterns = list(itertools.product((0, 1), repeat=4))
+    qs = binary_quadset(patterns)
+    rep = eligibility_report(qs)
+    scores = ScoreFunction.mcnemar().scores(np.abs(qs.d_values()))
+    opposite = [(pt - pc) * (ot - oc) == -1 for pt, pc, ot, oc in patterns]
+    assert [p for p, o in zip(patterns, opposite) if o] == [POSITIVE, NEGATIVE]
+    assert scores.tolist() == [float(o) for o in opposite]
+    assert (np.abs(qs.d_values()) == 2).tolist() == opposite
+    assert rep.eligible.ids.tolist() == qs.ids[opposite].tolist()
+    assert rep.n_ineligible == 14
+    assert rep.reasons == {
+        "pre_concordant": sum(pt == pc for pt, pc, _, _ in patterns),
+        "post_concordant": sum(ot == oc for _, _, ot, oc in patterns),
+        "same_direction": sum((pt - pc) * (ot - oc) == 1 for pt, pc, ot, oc in patterns),
+    } == {"pre_concordant": 8, "post_concordant": 8, "same_direction": 2}
+
+
 def test_eligible_signs_match_contrasts():
     qs = binary_quadset([POSITIVE, NEGATIVE, POSITIVE])
     els = eligible_quadruples(qs)
@@ -48,6 +76,8 @@ def test_eligible_signs_match_contrasts():
 def test_binary_guard_rejects_continuous_sets():
     with pytest.raises(StructuralError):
         eligibility_report(quadset_from_d([1.0, -1.0]))
+    with pytest.raises(StructuralError, match="requires outcome_kind='binary'"):
+        upper_pvalues(quadset_from_d([2.0, -2.0, 2.0]), "mcnemar")
     # a non-0/1 outcome is reported by the first offending unit id
     with pytest.raises(StructuralError, match="'b1pc': binary outcome must be 0 or 1"):
         eligibility_report(binary_quadset([POSITIVE, (1, 0.5, 0, 2)]))
@@ -105,6 +135,35 @@ def test_mcnemar_tails_match_scipy_binomial():
                             assert abs(got.p_value - want) <= 1e-12 * want, (n, t, gamma, direction, sided)
                         else:
                             assert got.p_value < 1e-290
+
+
+@pytest.mark.parametrize("sided", SIDES)
+def test_mcnemar_is_the_sign_score_test_on_full_and_eligible_sets(sided):
+    # One engine: the curve on the whole set, the curve on its eligible rows and
+    # mcnemar_sensitivity_pvalue give the same result, equal to the unit-score
+    # sign test on sign(d) of the eligible rows.
+    rng = np.random.default_rng(23)
+    full = binary_quadset([tuple(row) for row in rng.integers(0, 2, (300, 4))])
+    eligible = eligible_quadruples(full)
+    curves = [upper_pvalues(full, "mcnemar", sided=sided), upper_pvalues(eligible, "mcnemar", sided=sided)]
+    for gamma in (1.0, 1.25, 2.0):
+        for direction in DIRECTIONS:
+            got = mcnemar_sensitivity_pvalue(eligible, gamma, direction, sided)
+            t, p, route, n = _signscore_pvalue(
+                np.sign(eligible.d_values()), 0.0, ScoreFunction.absolute_value(), *_tilt(gamma, direction), sided
+            )
+            assert (got.statistic, got.p_value, got.method, got.n_effective) == (
+                t, p, f"mcnemar:{route}:gamma={gamma:g}:{direction}", n
+            )
+            same = [worst_case_pvalue(full, 0.0, ScoreFunction.mcnemar(), gamma, direction, sided)]
+            if direction == "upper":
+                same += [curve(gamma) for curve in curves]
+            for res in same:
+                assert (res.statistic, res.p_value, res.method, res.n_effective) == (
+                    got.statistic, got.p_value, got.method, got.n_effective
+                )
+    with pytest.raises(ValueError, match="no shift estimate"):
+        ScoreFunction.mcnemar().estimate(eligible.d_values(), 0.5)
 
 
 def test_mcnemar_two_sided_cap():

@@ -139,6 +139,20 @@ def test_validate_dataset_binary_outcomes():
         validate_dataset(ok, outcome_kind="count")
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, math.nan])
+def test_binary_quadruple_set_rejects_outcomes_other_than_0_and_1(bad):
+    ids = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
+    outcomes = [[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, bad, 1.0]]
+    with pytest.raises(StructuralError, match="^record 'g': binary outcome must be 0 or 1$"):
+        QuadrupleSet(ids, outcomes, "binary")
+    pre = MatchedPair(unit("a", 1, 1, 0.0), unit("b", 1, 0, 1.0))
+    post = MatchedPair(unit("c", 2, 1, 1.0), unit("d", 2, 0, bad))
+    with pytest.raises(StructuralError, match="^record 'd': binary outcome must be 0 or 1$"):
+        QuadrupleSet.from_pairs([pre], [post], outcome_kind="binary")
+    if math.isfinite(bad):
+        assert len(QuadrupleSet(ids, outcomes)) == 2  # a continuous set takes any finite outcome
+
+
 def test_binary_quadset_contrasts():
     qs = binary_quadset([(1, 0, 0, 1), (0, 1, 1, 0)])
     assert qs.d_values().tolist() == [(0 - 1) - (1 - 0), (1 - 0) - (0 - 1)]

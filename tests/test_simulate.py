@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from didsens import binary
 from didsens.binary import eligibility_report, eligible_quadruples, mcnemar_statistic
 from didsens.errors import StructuralError
 from didsens.simulate import (
@@ -57,14 +58,15 @@ def test_record_structure_round_trips():
 def test_quadruples_from_records_places_treated_units():
     # quadruple 0: member a treated in period 1, member b in period 2; quadruple 1 the reverse
     z = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    outcomes = np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]])
+    # 0/1 outcomes; each row's slot order differs from the members' order
+    outcomes = np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]])
     quads = quadruples_from_records((z, outcomes), outcome_kind="binary")
     assert quads.ids.tolist() == [
         ["q00000-p1-a", "q00000-p1-b", "q00000-p2-b", "q00000-p2-a"],
         ["q00001-p1-b", "q00001-p1-a", "q00001-p2-a", "q00001-p2-b"],
     ]
-    assert quads.outcomes.tolist() == [[1.0, 2.0, 4.0, 3.0], [6.0, 5.0, 7.0, 8.0]]
-    assert quads.d_values().tolist() == [(4.0 - 3.0) - (1.0 - 2.0), (7.0 - 8.0) - (6.0 - 5.0)]
+    assert quads.outcomes.tolist() == [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]]
+    assert quads.d_values().tolist() == [(0.0 - 1.0) - (1.0 - 0.0), (1.0 - 1.0) - (1.0 - 0.0)]
     assert quads.outcome_kind == "binary"
 
 
@@ -182,6 +184,21 @@ def test_mcnemar_budget_pins_the_effective_size():
     plan = AnalysisPlan(test="mcnemar", mcnemar_budget=20)
     res = level_power_study(design, plan, reps=6, seed=8)
     assert all(row["n_effective"] == 20 for row in res.rows)
+
+
+@pytest.mark.parametrize("budget", [None, 20])
+def test_each_mcnemar_replication_filters_eligibility_once(monkeypatch, budget):
+    calls = []
+
+    def counted(quads):
+        calls.append(len(quads))
+        return eligibility_report(quads)
+
+    monkeypatch.setattr(binary, "eligibility_report", counted)
+    design = BinaryDesign(n_quadruples=400, mu_sd=0.0, alpha_sd=0.0, beta_sd=0.0)
+    plan = AnalysisPlan(test="mcnemar", mcnemar_budget=budget, compute_changepoint=True)
+    level_power_study(design, plan, reps=3, seed=8)
+    assert calls == [400, 400, 400]
 
 
 @pytest.mark.parametrize(
