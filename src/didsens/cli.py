@@ -451,18 +451,18 @@ def cmd_match(cfg: AnalysisConfig) -> int:
     return 0
 
 
-def _check_kind_test(cfg: AnalysisConfig) -> None:
-    if cfg.outcome_kind == "binary" and cfg.test != "mcnemar":
-        raise ConfigError("binary outcomes require test: mcnemar")
-    if cfg.outcome_kind == "continuous" and cfg.test == "mcnemar":
-        raise ConfigError("test mcnemar requires outcome.kind: binary")
+def _check_kind_test(outcome_kind: str, test: str, kind_key="outcome.kind", test_key="test") -> None:
+    """The outcome/test rule of every verb: binary outcomes take mcnemar, and only they do."""
+    if (outcome_kind == "binary") != (test == "mcnemar"):
+        raise ConfigError(f"{kind_key} {outcome_kind} does not take {test_key} {test}: "
+                          "binary outcomes take mcnemar, and only they do")
 
 
 def _load_quadruples(cfg: AnalysisConfig, quad_path: str):
     """(quadruples, eligibility report or None) for cmd_test and cmd_sens.
 
     A binary set must test the sharp null and hold an informative quadruple."""
-    _check_kind_test(cfg)
+    _check_kind_test(cfg.outcome_kind, cfg.test)
     quads = read_quadruples_csv(quad_path, cfg.outcome_kind)
     if cfg.outcome_kind != "binary":
         return quads, None
@@ -678,6 +678,7 @@ def cmd_simulate(cfg: AnalysisConfig) -> int:
         plan = AnalysisPlan(**plan_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulate.plan: {exc}") from None
+    _check_kind_test(kind, plan.test, "simulate.design", "simulate.plan.test")
     result = level_power_study(design, plan, reps=reps, seed=cfg.seed)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from didsens import cli, matching
+from didsens import binary, cli, matching
 from didsens.cli import read_quadruples_csv
 from didsens.sensitivity import changepoint_gamma, sate_pvalue, upper_pvalues
 
@@ -320,6 +320,14 @@ BAD_SETTINGS = [
     (["--lambdas", "3,inf"], "sens", 2, "amplification_lambdas must be finite and exceed 1, got inf"),
     ({"seed": -1}, "match", 2, "seed must be a nonnegative integer, got -1"),
     (["--seed", "-1"], "match", 2, "seed must be a nonnegative integer, got -1"),
+    # one outcome/test rule for test, sens and simulate
+    ({"outcome": {"column": "y", "kind": "binary"}}, "test", 2, "outcome.kind binary does not take test signed_rank"),
+    (["--test", "mcnemar"], "sens", 2, "outcome.kind continuous does not take test mcnemar"),
+    *[
+        ({"simulate": {"design": kind, "reps": 2, "params": {"n_quadruples": 20}, "plan": {"test": test}}},
+         "simulate", 2, f"simulate.design {kind} does not take simulate.plan.test {test}")
+        for kind, test in (("binary", "signed_rank"), ("binary", "sate"), ("continuous", "mcnemar"))
+    ],
 ]
 
 
@@ -432,6 +440,43 @@ def test_binary_test_command(tmp_path):
     assert report["statistic"] == 9.0
     assert report["eligibility"]["n_eligible"] == 12
     assert report["eligibility"]["n_total"] == 16
+
+
+@pytest.mark.parametrize("verb", ["test", "sens"])
+def test_binary_verbs_filter_eligibility_once(tmp_path, monkeypatch, verb):
+    calls = []
+    report = binary.eligibility_report
+
+    def counted(quads):
+        calls.append(len(quads))
+        return report(quads)
+
+    monkeypatch.setattr(binary, "eligibility_report", counted)
+    monkeypatch.setattr(cli, "eligibility_report", counted)
+    quads = tmp_path / "quadruples.csv"
+    _write_binary_quadruples(quads, n_pos=11, n_neg=2, n_flat=3)
+    config = write_config(
+        tmp_path / "config.yaml", tmp_path / "unused.csv", tmp_path / "out",
+        outcome={"column": "y", "kind": "binary"}, test="mcnemar",
+    )
+    assert cli.main([verb, "--config", str(config), "--quadruples", str(quads)]) == 0
+    assert calls == [16]
+
+
+def test_binary_outcome_other_than_0_or_1_exits_4_naming_the_record(tmp_path, capsys):
+    quads = tmp_path / "quadruples.csv"
+    _write_binary_quadruples(quads, n_pos=5, n_neg=2)
+    lines = quads.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[6] = "0.5"  # pre_control_outcome of quadruple 2
+    lines[3] = ",".join(cells)
+    quads.write_text("\n".join(lines) + "\n")
+    config = write_config(
+        tmp_path / "config.yaml", tmp_path / "unused.csv", tmp_path / "out",
+        outcome={"column": "y", "kind": "binary"}, test="mcnemar",
+    )
+    assert cli.main(["test", "--config", str(config), "--quadruples", str(quads)]) == 4
+    assert "record 'q2pc': binary outcome must be 0 or 1" in capsys.readouterr().err
 
 
 def test_binary_without_eligible_quadruples_exits_4(tmp_path, capsys):
