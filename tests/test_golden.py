@@ -4,7 +4,8 @@ The inputs are perfbench's `study_rank`, `study_balance` and `mc_null`
 workloads at one seed, plus a seeded binary study written here.  The runs
 are each workload's verbs, `match --objective minimize_total_distance` on
 `study_rank`'s inputs, the binary study's `match`, then `test` and `sens`
-one-sided and two-sided, `amplify --json` and `patterns`.
+one-sided and two-sided, `simulate` on the small plans in SIMULATE_PLANS,
+`amplify --json` and `patterns`.
 `tests/golden/manifest.json` records the sha256, size and per-line digests
 of each file they write, with the Python, numpy and scipy versions that
 produced it.  Floating-point bytes may differ on other versions, so a
@@ -90,6 +91,48 @@ def _write_binary_study(inputs: Path) -> Path:
     return config
 
 
+# Small `simulate` sections covering the plan options the mc_null workload leaves out.
+SIMULATE_PLANS = {
+    "sate_changepoint": {
+        "design": "continuous",
+        "reps": 6,
+        "params": {"n_quadruples": 40, "tau": 0.5},
+        "plan": {"test": "sate", "compute_changepoint": True},
+    },
+    "permutational_t_two_sided": {
+        "design": "continuous",
+        "reps": 6,
+        "params": {"n_quadruples": 30, "tau": 1.5, "residual": "lognormal"},
+        "plan": {"test": "permutational_t", "sided": "two_sided", "compute_hl": True,
+                 "estimate_gamma": 1.2, "compute_changepoint": True},
+    },
+    "signed_rank_tilted": {
+        "design": "continuous",
+        "reps": 6,
+        "params": {"n_quadruples": 40, "tau": 0.8, "lambda2": 1.0, "delta2": 1.0},
+        "plan": {"test": "signed_rank", "gamma": 1.5},
+    },
+    "mcnemar_budget": {
+        "design": "binary",
+        "reps": 6,
+        "params": {"n_quadruples": 300, "tau_logit": 1.0},
+        "plan": {"test": "mcnemar", "mcnemar_budget": 40, "compute_hl": True,
+                 "estimate_gamma": 1.2, "compute_changepoint": True},
+    },
+}
+
+
+def _write_simulate_configs(inputs: Path, outputs: Path) -> list[Path]:
+    inputs.mkdir(parents=True)
+    configs = []
+    for k, (name, section) in enumerate(SIMULATE_PLANS.items()):
+        configs.append(inputs / f"{name}.yaml")
+        configs[-1].write_text(yaml.safe_dump({
+            "output_dir": str(outputs / name), "seed": SEED + k, "simulate": section,
+        }), encoding="utf-8")
+    return configs
+
+
 def regenerate(root: Path) -> dict[str, bytes]:
     """Run every verb above under `root`; return each artifact's bytes by relative path."""
     for name in workloads.WORKLOADS:
@@ -105,6 +148,8 @@ def regenerate(root: Path) -> dict[str, bytes]:
         for verb in ("test", "sens"):
             _run(verb, "--config", config, "--quadruples", out / "match" / "quadruples.csv",
                  "--sided", sided, "--output-dir", out / sided)
+    for config in _write_simulate_configs(root / "simulate_plans" / "in", root / "simulate_plans" / "out"):
+        _run("simulate", "--config", config)
     (root / "amplify" / "out").mkdir(parents=True)
     _run("amplify", "--gamma", "2", "--lambdas", "3,4", "--json", root / "amplify" / "out" / "amplify.json")
     _run("patterns", "--outdir", root / "patterns" / "out")
