@@ -92,46 +92,65 @@ def _quad_rows(values, dtype) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
 class QuadrupleSet:
     """Quadruples over disjoint units, one row per quadruple.
 
     ids and outcomes are (n, 4) arrays whose columns follow SLOTS, binary
     outcomes 0 or 1; d holds each row's contrast (post treated - post
     control) - (pre treated - pre control), which must be finite.  All
-    three are read-only.
+    three are read-only, and so is the set.  The constructor checks all of
+    this; a subset keeps its parent's checks instead of repeating them.
     """
 
-    ids: np.ndarray
-    outcomes: np.ndarray
-    outcome_kind: str = "continuous"
-    d: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.outcome_kind not in VALID_OUTCOME_KINDS:
-            raise StructuralError(
-                f"outcome_kind must be one of {VALID_OUTCOME_KINDS}, got {self.outcome_kind!r}"
-            )
-        ids = _quad_rows(self.ids, str)
-        y = _quad_rows(self.outcomes, np.float64)
+    def __init__(self, ids, outcomes, outcome_kind: str = "continuous") -> None:
+        _check_outcome_kind(outcome_kind)
+        ids = _quad_rows(ids, str)
+        y = _quad_rows(outcomes, np.float64)
         if ids.shape != y.shape:
             raise StructuralError(f"{ids.shape[0]} id rows but {y.shape[0]} outcome rows")
-        if self.outcome_kind == "binary":
+        self._fill(ids, y, outcome_kind, units_distinct=False)
+
+    @classmethod
+    def _of_distinct_units(cls, ids, outcomes: np.ndarray, outcome_kind: str) -> QuadrupleSet:
+        """The constructor's checks but the disjointness one, for units distinct by construction.
+
+        ids is a function giving the (n, 4) id array, called on its first
+        read; outcomes is an (n, 4) float array, made read-only here.
+        """
+        _check_outcome_kind(outcome_kind)
+        outcomes.flags.writeable = False
+        quads = cls.__new__(cls)
+        quads._fill(ids, outcomes, outcome_kind, units_distinct=True)
+        return quads
+
+    def _fill(self, ids, y: np.ndarray, outcome_kind: str, units_distinct: bool) -> None:
+        _set(self, _ids=ids, outcomes=y, outcome_kind=outcome_kind)
+        if outcome_kind == "binary":
             not_binary = (y != 0) & (y != 1)
             if not_binary.any():
-                raise StructuralError(f"record {str(ids[not_binary][0])!r}: binary outcome must be 0 or 1")
-        units, counts = np.unique(ids, return_counts=True)
-        if (counts > 1).any():
-            raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")
+                raise StructuralError(f"record {str(self.ids[not_binary][0])!r}: binary outcome must be 0 or 1")
+        if not units_distinct:
+            units, counts = np.unique(ids, return_counts=True)
+            if (counts > 1).any():
+                raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")
         with np.errstate(over="ignore", invalid="ignore"):  # reported as DataError below
             d = (y[:, 2] - y[:, 3]) - (y[:, 0] - y[:, 1])
         if not np.isfinite(d).all():
             row = int(np.flatnonzero(~np.isfinite(d))[0])
             raise DataError(f"quadruple row {row}: contrast d = {float(d[row])} is not finite")
         d.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "outcomes", y)
-        object.__setattr__(self, "d", d)
+        _set(self, d=d)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"QuadrupleSet is read-only; cannot set {name!r}")
+
+    @property
+    def ids(self) -> np.ndarray:
+        if callable(self._ids):
+            ids = self._ids()
+            ids.flags.writeable = False
+            _set(self, _ids=ids)
+        return self._ids
 
     @classmethod
     def from_pairs(
@@ -160,8 +179,43 @@ class QuadrupleSet:
         return self.d
 
     def subset(self, rows) -> QuadrupleSet:
-        """The quadruples at rows (indices, a boolean mask or a slice), in that order."""
-        return QuadrupleSet(self.ids[rows], self.outcomes[rows], self.outcome_kind)
+        """The quadruples at rows (indices, a boolean mask or a slice), in that order.
+
+        A slice or mask of this set's rows is checked already.  Indices are
+        checked for repeats, and a repeat goes to the constructor, which
+        names a unit it reuses.  The subset reads its ids from this set's
+        when they are first read.
+        """
+        index = rows if isinstance(rows, slice) else np.array(rows)
+        if not isinstance(index, slice) and not _picks_rows_once(index, len(self)):
+            return QuadrupleSet(self.ids[rows], self.outcomes[rows], self.outcome_kind)
+        y, d = self.outcomes[index], self.d[index]
+        y.flags.writeable = False
+        d.flags.writeable = False
+        quads = QuadrupleSet.__new__(QuadrupleSet)
+        _set(quads, _ids=lambda: self.ids[index], outcomes=y, outcome_kind=self.outcome_kind, d=d)
+        return quads
+
+
+def _picks_rows_once(index: np.ndarray, n: int) -> bool:
+    """Whether index is a 1-d boolean mask, or 1-d integers naming no row of n twice."""
+    if index.ndim != 1 or index.dtype.kind not in "biu":
+        return False
+    if index.dtype.kind == "b":
+        return True
+    at = np.where(index < 0, index + n, index)
+    return np.unique(at).size == at.size
+
+
+def _check_outcome_kind(outcome_kind: str) -> None:
+    if outcome_kind not in VALID_OUTCOME_KINDS:
+        raise StructuralError(f"outcome_kind must be one of {VALID_OUTCOME_KINDS}, got {outcome_kind!r}")
+
+
+def _set(quads: QuadrupleSet, **attrs) -> None:
+    """Set attributes of a read-only QuadrupleSet while building it."""
+    for name, value in attrs.items():
+        object.__setattr__(quads, name, value)
 
 
 def _value_kind(value: object) -> str | None:

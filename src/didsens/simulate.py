@@ -206,23 +206,31 @@ def quadruples_from_records(
 
     Member j of quadruple i in period t gets the unit id
     "q{i:05d}-p{t}-{a|b}"; each period's treated member fills the treated
-    slot of that period.
+    slot of that period.  Each (quadruple, period) puts its two members into
+    two slots, so the units are distinct without a check, and the ids are
+    built when first read.
     """
     z, outcomes = (np.asarray(a) for a in units)
     if z.ndim != 3 or z.shape[1:] != (2, 2) or outcomes.shape != z.shape:
         raise StructuralError(
             f"expected (n, 2, 2) treatment and outcome arrays, got {z.shape} and {outcomes.shape}"
         )
-    bad = np.argwhere((z.min(axis=2) != 0) | (z.max(axis=2) != 1))
+    a, b = z[:, :, 0], z[:, :, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or huge flags are reported as bad below
+        bad = np.argwhere((a + b != 1) | (a * b != 0))
     if bad.size:
         i, t = bad[0]
         raise StructuralError(f"quadruple 'q{i:05d}' period {t + 1} is not a treated-control pair")
     n = z.shape[0]
-    # With one treated member per period, 1 - z lists (treated, control) member indices.
-    slot_member = 1 - z.astype(np.intp)
-    return QuadrupleSet(
-        ids=np.take_along_axis(_unit_ids(n), slot_member, axis=2).reshape(n, 4),
-        outcomes=np.take_along_axis(outcomes, slot_member, axis=2).reshape(n, 4),
+    a_treated = z[:, :, :1] == 1
+
+    def slots(by_member: np.ndarray) -> np.ndarray:
+        """(n, 4) rows in SLOTS order from (n, 2, 2) values by quadruple, period and member."""
+        return np.where(a_treated, by_member, by_member[:, :, ::-1]).reshape(n, 4)
+
+    return QuadrupleSet._of_distinct_units(
+        ids=lambda: slots(_unit_ids(n)),
+        outcomes=slots(outcomes).astype(np.float64, copy=False),
         outcome_kind=outcome_kind,
     )
 

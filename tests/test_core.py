@@ -87,6 +87,42 @@ def test_subset_keeps_order_and_kind():
     assert len(qs.subset(slice(0))) == 0
 
 
+@pytest.mark.parametrize(
+    "rows, unit",
+    [([0, 0], "b0oc"), ([-1, 3], "b3oc"), ([3, -1], "b3oc"), ([1, 2, 1], "b1oc"), (np.array([2, -2]), "b2oc")],
+)
+def test_subset_with_a_repeated_row_names_a_reused_unit(rows, unit):
+    qs = binary_quadset([(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1), (0, 1, 1, 0)])
+    with pytest.raises(StructuralError, match=f"unit '{unit}' appears in more than one slot"):
+        qs.subset(rows)
+
+
+def test_masks_and_slices_keep_the_parents_rows():
+    qs = binary_quadset([(0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1), (0, 1, 1, 0), (1, 0, 1, 0)])
+    for rows in (np.array([True, False, True, True, False]), slice(1, 4), slice(None, None, -2), [4, 0, -2]):
+        sub = qs.subset(rows)
+        assert np.array_equal(sub.ids, qs.ids[rows])
+        assert np.array_equal(sub.outcomes, qs.outcomes[rows])
+        assert np.array_equal(sub.d_values(), qs.d_values()[rows])
+        for arr in (sub.d_values(), sub.ids, sub.outcomes):
+            assert not arr.flags.writeable
+        nested = sub.subset(slice(1, None))
+        assert np.array_equal(nested.ids, qs.ids[rows][1:])
+    with pytest.raises(IndexError):
+        qs.subset(np.array([True, False]))
+    with pytest.raises(IndexError):
+        qs.subset([5])
+    assert len(qs.subset([])) == 0
+
+
+def test_quadruple_set_is_read_only():
+    qs = quadset_from_d([1.0, 2.0])
+    with pytest.raises(AttributeError, match="read-only"):
+        qs.outcome_kind = "binary"
+    with pytest.raises(AttributeError, match="read-only"):
+        qs.subset(slice(1)).d = np.zeros(1)
+
+
 def test_validate_dataset_flags_problems():
     good = [
         unit("a", 1, 1, 1.0, age=30.0, sector="mfg"),

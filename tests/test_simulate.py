@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from didsens import binary
+from didsens import binary, simulate
 from didsens.binary import eligibility_report, eligible_quadruples, mcnemar_statistic
 from didsens.errors import StructuralError
 from didsens.simulate import (
@@ -242,6 +242,54 @@ def test_quadruples_from_records_structural_errors():
     broken[0, 0] = 1
     with pytest.raises(StructuralError, match="'q00000' period 1 is not a treated-control pair"):
         quadruples_from_records((broken, outcomes))
+
+
+@pytest.mark.parametrize("pair", [(1, 1), (0, 0), (2, -1), (np.nan, 1), (1, np.nan), (np.inf, -np.inf), (1e200, 1e200)])
+def test_treatment_flags_other_than_one_treated_and_one_control_are_rejected(pair):
+    z, outcomes = generate_continuous(ContinuousDesign(n_quadruples=4), seed=4)
+    z = z.astype(np.float64)
+    z[2, 1] = pair
+    z[3, 0] = pair  # a later bad pair; the error names the first
+    with pytest.raises(StructuralError, match="^quadruple 'q00002' period 2 is not a treated-control pair$"):
+        quadruples_from_records((z, outcomes))
+
+
+def test_simulated_ids_are_built_only_when_read(monkeypatch):
+    def refuse(n):
+        raise AssertionError("unit ids built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_unit_ids", refuse)
+        plans = [
+            (BinaryDesign(n_quadruples=200, tau_logit=1.0),
+             AnalysisPlan(test="mcnemar", mcnemar_budget=30, compute_hl=True, estimate_gamma=1.2,
+                          compute_changepoint=True)),
+            (BinaryDesign(n_quadruples=200), AnalysisPlan(test="mcnemar")),
+            (ContinuousDesign(n_quadruples=30, tau=1.0),
+             AnalysisPlan(test="permutational_t", compute_hl=True, estimate_gamma=1.2, compute_changepoint=True)),
+            (ContinuousDesign(n_quadruples=30), AnalysisPlan(test="sate")),
+        ]
+        for design, plan in plans:
+            assert len(level_power_study(design, plan, reps=3, seed=2).rows) == 3
+        quads = quadruples_from_records(generate_binary(BinaryDesign(n_quadruples=300), seed=5), "binary")
+        eligible = eligible_quadruples(quads).subset(slice(5))
+    z, _ = generate_binary(BinaryDesign(n_quadruples=300), seed=5)
+    # each period's treated member, a or b, fills that period's treated slot
+    expected = [
+        [f"q{i:05d}-p{t + 1}-{m}" for t in (0, 1) for m in ("ab" if z[i, t, 0] == 1 else "ba")]
+        for i in range(300)
+    ]
+    assert quads.ids.tolist() == expected
+    assert not quads.ids.flags.writeable
+    rows = np.flatnonzero(np.abs(quads.d_values()) == 2)[:5]
+    assert eligible.ids.tolist() == [expected[i] for i in rows]
+
+
+@pytest.mark.parametrize("n", [4, 25])
+def test_subset_of_a_simulated_set_with_a_repeated_row_names_the_unit(n):
+    qs = quadruples_from_records(generate_continuous(ContinuousDesign(n_quadruples=n), seed=3))
+    with pytest.raises(StructuralError, match=f"^unit 'q{n - 1:05d}-p1-a' appears in more than one slot$"):
+        qs.subset([-1, n - 1])
 
 
 @pytest.mark.parametrize(
