@@ -242,9 +242,12 @@ class AnalysisPlan:
     test is one of `sensitivity.TESTS`.  Worst-case (upper) p-values are
     computed at `gamma`.  estimate_gamma, when set, also computes estimate
     bounds at that cap, with the test's score, and records whether they
-    cover the design's true effect.  mcnemar_budget, when set, narrows each
-    replication to its first that many informative quadruples before any
-    analysis runs, fixing the effective sample size across replications.
+    cover the design's true effect.  A mcnemar plan analyses each
+    replication's informative (eligible) quadruples only: the p-value, the
+    Hodges-Lehmann estimate and the bounds alike.  mcnemar_budget, when set,
+    caps that set at its first that many quadruples, fixing the effective
+    sample size across replications; a budget that cuts nothing changes
+    nothing.
     """
 
     test: str = "signed_rank"
@@ -294,11 +297,11 @@ def _uninformative_row(plan: AnalysisPlan) -> dict:
 
 def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> dict:
     if plan.test == "mcnemar":
-        eligible = eligible_quadruples(quads)
-        if not eligible:
+        quads = eligible_quadruples(quads)
+        if not quads:
             return _uninformative_row(plan)
         if plan.mcnemar_budget is not None:
-            quads = eligible.subset(slice(plan.mcnemar_budget))
+            quads = quads.subset(slice(plan.mcnemar_budget))
     pvalue = upper_pvalues(quads, plan.test, plan.tau0, plan.sided)
     res = pvalue(plan.gamma)
     row = {"statistic": res.statistic, "p_value": res.p_value, "n_effective": res.n_effective}

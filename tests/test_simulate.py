@@ -292,6 +292,21 @@ def test_subset_of_a_simulated_set_with_a_repeated_row_names_the_unit(n):
         qs.subset([-1, n - 1])
 
 
+def test_mcnemar_plans_analyse_the_eligible_set_with_or_without_a_budget():
+    design = BinaryDesign(400, tau_logit=1.0, mu_sd=0, alpha_sd=0, beta_sd=0)
+    rows = {
+        budget: level_power_study(
+            design, AnalysisPlan(test="mcnemar", compute_hl=True, estimate_gamma=1.0, mcnemar_budget=budget),
+            reps=3, seed=1,
+        ).rows
+        for budget in (None, 10000)
+    }
+    assert rows[None] == rows[10000]
+    # every eligible contrast is +/-2, so the estimates are too
+    assert {row["hl"] for row in rows[None]} <= {-2.0, 0.0, 2.0}
+    assert rows[None][0]["hl"] == 2.0
+
+
 @pytest.mark.parametrize(
     "flags",
     [{"compute_changepoint": True}, {"compute_hl": True}, {"estimate_gamma": 1.2}],
