@@ -43,6 +43,7 @@ from .sensitivity import (
     amplify_paired,
     changepoint_gamma,
     estimate_bounds,
+    outcome_takes_test,
     score_for,
     upper_pvalues,
 )
@@ -452,8 +453,8 @@ def cmd_match(cfg: AnalysisConfig) -> int:
 
 
 def _check_kind_test(outcome_kind: str, test: str, kind_key="outcome.kind", test_key="test") -> None:
-    """The outcome/test rule of every verb: binary outcomes take mcnemar, and only they do."""
-    if (outcome_kind == "binary") != (test == "mcnemar"):
+    """`outcome_takes_test` for every verb, as a ConfigError naming the config keys."""
+    if not outcome_takes_test(outcome_kind, test):
         raise ConfigError(f"{kind_key} {outcome_kind} does not take {test_key} {test}: "
                           "binary outcomes take mcnemar, and only they do")
 

@@ -38,6 +38,11 @@ TESTS = SCORE_TESTS + ("sate", "mcnemar")
 CHANGEPOINT_TOL = 1e-4
 
 
+def outcome_takes_test(outcome_kind: str, test: str) -> bool:
+    """The outcome/test rule: binary outcomes take mcnemar, and only they do."""
+    return (outcome_kind == "binary") == (test == "mcnemar")
+
+
 def _check_direction(direction: str) -> None:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")

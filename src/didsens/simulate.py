@@ -28,7 +28,14 @@ from .binary import eligible_quadruples
 from .core import QuadrupleSet
 from .errors import StructuralError
 from .inference import hodges_lehmann
-from .sensitivity import TESTS, changepoint_gamma, estimate_bounds, score_for, upper_pvalues
+from .sensitivity import (
+    TESTS,
+    changepoint_gamma,
+    estimate_bounds,
+    outcome_takes_test,
+    score_for,
+    upper_pvalues,
+)
 
 RESIDUALS = ("normal", "lognormal")
 U_DISTS = ("bernoulli", "uniform")
@@ -327,18 +334,23 @@ def level_power_study(
     """Run `reps` generate-analyze replications with spawned seeds.
 
     Seeds are spawned per replication from the base seed, so results do
-    not depend on execution order and are reproducible bit for bit.
+    not depend on execution order and are reproducible bit for bit.  A
+    design and plan that break `outcome_takes_test` raise ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     binary = isinstance(design, BinaryDesign)
+    kind = "binary" if binary else "continuous"
+    if not outcome_takes_test(kind, plan.test):
+        raise ValueError(f"a {kind} design does not take test {plan.test}: "
+                         "binary outcomes take mcnemar, and only they do")
     true_tau = design.tau_logit if binary else design.tau
     children = np.random.SeedSequence(seed).spawn(reps)
     rows: list[dict] = []
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
         units = generate_binary(design, rng) if binary else generate_continuous(design, rng)
-        quads = quadruples_from_records(units, outcome_kind="binary" if binary else "continuous")
+        quads = quadruples_from_records(units, outcome_kind=kind)
         row = {"rep": r}
         row.update(_analyze_one(quads, plan, true_tau))
         row["reject"] = int(row["p_value"] <= plan.alpha)

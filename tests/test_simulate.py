@@ -6,6 +6,7 @@ import pytest
 from didsens import binary, simulate
 from didsens.binary import eligibility_report, eligible_quadruples, mcnemar_statistic
 from didsens.errors import StructuralError
+from didsens.sensitivity import TESTS, outcome_takes_test
 from didsens.simulate import (
     AnalysisPlan,
     BinaryDesign,
@@ -305,6 +306,19 @@ def test_mcnemar_plans_analyse_the_eligible_set_with_or_without_a_budget():
     # every eligible contrast is +/-2, so the estimates are too
     assert {row["hl"] for row in rows[None]} <= {-2.0, 0.0, 2.0}
     assert rows[None][0]["hl"] == 2.0
+
+
+@pytest.mark.parametrize("test", TESTS)
+@pytest.mark.parametrize("design", [BinaryDesign(50), ContinuousDesign(50)], ids=["binary", "continuous"])
+def test_level_power_study_keeps_the_outcome_test_rule(design, test):
+    kind = "binary" if isinstance(design, BinaryDesign) else "continuous"
+    plan = AnalysisPlan(test=test)
+    assert outcome_takes_test(kind, test) == ((kind == "binary") == (test == "mcnemar"))
+    if outcome_takes_test(kind, test):
+        assert len(level_power_study(design, plan, reps=2).rows) == 2
+    else:
+        with pytest.raises(ValueError, match=f"a {kind} design does not take test {test}: binary outcomes take mcnemar"):
+            level_power_study(design, plan, reps=2)
 
 
 @pytest.mark.parametrize(
