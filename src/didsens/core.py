@@ -103,7 +103,6 @@ class QuadrupleSet:
     """
 
     def __init__(self, ids, outcomes, outcome_kind: str = "continuous") -> None:
-        _check_outcome_kind(outcome_kind)
         ids = _quad_rows(ids, str)
         y = _quad_rows(outcomes, np.float64)
         if ids.shape != y.shape:
@@ -117,13 +116,14 @@ class QuadrupleSet:
         ids is a function giving the (n, 4) id array, called on its first
         read; outcomes is an (n, 4) float array, made read-only here.
         """
-        _check_outcome_kind(outcome_kind)
         outcomes.flags.writeable = False
         quads = cls.__new__(cls)
         quads._fill(ids, outcomes, outcome_kind, units_distinct=True)
         return quads
 
     def _fill(self, ids, y: np.ndarray, outcome_kind: str, units_distinct: bool) -> None:
+        if outcome_kind not in VALID_OUTCOME_KINDS:
+            raise StructuralError(f"outcome_kind must be one of {VALID_OUTCOME_KINDS}, got {outcome_kind!r}")
         _set(self, _ids=ids, outcomes=y, outcome_kind=outcome_kind)
         if outcome_kind == "binary":
             not_binary = (y != 0) & (y != 1)
@@ -205,11 +205,6 @@ def _picks_rows_once(index: np.ndarray, n: int) -> bool:
         return True
     at = np.where(index < 0, index + n, index)
     return np.unique(at).size == at.size
-
-
-def _check_outcome_kind(outcome_kind: str) -> None:
-    if outcome_kind not in VALID_OUTCOME_KINDS:
-        raise StructuralError(f"outcome_kind must be one of {VALID_OUTCOME_KINDS}, got {outcome_kind!r}")
 
 
 def _set(quads: QuadrupleSet, **attrs) -> None:
