@@ -144,6 +144,10 @@ class QuadrupleSet:
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"QuadrupleSet is read-only; cannot set {name!r}")
 
+    def __reduce__(self):
+        # An id-building function does not pickle: pickle and copy rebuild through the constructor.
+        return QuadrupleSet, (self.ids, self.outcomes, self.outcome_kind)
+
     @property
     def ids(self) -> np.ndarray:
         if callable(self._ids):

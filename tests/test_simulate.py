@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -284,6 +286,15 @@ def test_simulated_ids_are_built_only_when_read(monkeypatch):
     assert not quads.ids.flags.writeable
     rows = np.flatnonzero(np.abs(quads.d_values()) == 2)[:5]
     assert eligible.ids.tolist() == [expected[i] for i in rows]
+
+
+def test_simulated_sets_pickle_and_copy_with_their_ids():
+    quads = quadruples_from_records(generate_binary(BinaryDesign(n_quadruples=30), seed=5), "binary")
+    eligible = eligible_quadruples(quads)
+    for source, twin in ((eligible, pickle.loads(pickle.dumps(eligible))), (quads, copy.deepcopy(quads))):
+        assert twin.ids.tolist() == source.ids.tolist()
+        assert np.array_equal(twin.outcomes, source.outcomes) and np.array_equal(twin.d, source.d)
+        assert twin.outcome_kind == "binary"
 
 
 @pytest.mark.parametrize("n", [4, 25])
