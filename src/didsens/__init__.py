@@ -14,7 +14,6 @@ from .binary import (
     eligibility_report,
     eligible_quadruples,
     mcnemar_sensitivity_pvalue,
-    mcnemar_statistic,
 )
 from .core import (
     MatchedPair,
@@ -49,7 +48,6 @@ from .matching import (
     cross_period_match,
     pair_summaries,
     pooled_sd,
-    standardized_difference,
     within_period_match,
 )
 from .sensitivity import (
@@ -120,7 +118,6 @@ __all__ = [
     "invert_ci",
     "level_power_study",
     "mcnemar_sensitivity_pvalue",
-    "mcnemar_statistic",
     "one_param_bounds",
     "paired_gamma_from",
     "pair_summaries",
@@ -128,7 +125,6 @@ __all__ = [
     "quadruples_from_records",
     "randomization_pvalue",
     "sate_pvalue",
-    "standardized_difference",
     "two_param_bounds",
     "upper_pvalues",
     "validate_dataset",

@@ -58,11 +58,6 @@ def eligible_quadruples(quads: QuadrupleSet) -> QuadrupleSet:
     return eligibility_report(quads).eligible
 
 
-def mcnemar_statistic(eligible: QuadrupleSet) -> int:
-    """Count of positive contrasts (d = +2) among the eligible quadruples."""
-    return int((eligible.d_values() > 0).sum())
-
-
 def mcnemar_sensitivity_pvalue(
     eligible: QuadrupleSet,
     gamma: float = 1.0,

@@ -18,16 +18,17 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
 from .binary import eligibility_report
-from .core import SLOTS, MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
+from .core import SLOTS, VALID_OUTCOME_KINDS, MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
 from .errors import ConfigError, DataError, InfeasibleMatchError
 from .inference import hodges_lehmann, invert_ci, randomization_pvalue
 from .matching import (
+    BalanceRow,
     BalanceSpec,
     NominalRule,
     balance_report,
@@ -38,6 +39,7 @@ from .matching import (
 from .patterns import write_pattern_svgs
 from .sensitivity import (
     SCORE_TESTS,
+    SHARP_NULL_RULE,
     TESTS,
     amplify_did,
     amplify_paired,
@@ -50,22 +52,11 @@ from .sensitivity import (
 from .simulate import AnalysisPlan, BinaryDesign, ContinuousDesign, level_power_study
 
 SCHEMA_VERSION = 1
-OUTCOME_KINDS = ("continuous", "binary")
 ROLES = ("continuous", "nominal")
 
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class CovariateRole:
-    """Declared handling of one covariate column."""
-
-    role: str
-    threshold: float | None = None
-    balance: str = "none"
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -93,8 +84,14 @@ class AnalysisConfig:
     simulate: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.outcome_kind not in OUTCOME_KINDS:
-            raise ConfigError(f"outcome.kind must be one of {OUTCOME_KINDS}, got {self.outcome_kind!r}")
+        names = {"input": self.input, "outcome.column": self.outcome_column,
+                 "period.column": self.period_column, "treatment.column": self.treatment_column,
+                 "id.column": self.id_column}
+        for key, value in names.items():
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        if self.outcome_kind not in VALID_OUTCOME_KINDS:
+            raise ConfigError(f"outcome.kind must be one of {VALID_OUTCOME_KINDS}, got {self.outcome_kind!r}")
         if self.test not in TESTS:
             raise ConfigError(f"test must be one of {TESTS}, got {self.test!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -106,6 +103,8 @@ class AnalysisConfig:
         for g in self.gammas:
             if not 1.0 <= g < math.inf:
                 raise ConfigError(f"gammas must be finite and >= 1, got {g}")
+            if not math.isfinite(g * g):
+                raise ConfigError(f"gammas must have a finite square, got {g}")
         for lam in self.amplification_lambdas:
             if not 1.0 < lam < math.inf:
                 raise ConfigError(f"amplification_lambdas must be finite and exceed 1, got {lam}")
@@ -122,7 +121,24 @@ def _as_float_tuple(value, key: str) -> tuple:
         raise ConfigError(f"{key} must be a list of numbers") from None
 
 
+def _section(raw: dict, key: str) -> dict:
+    """raw[key], a mapping; absent or empty gives {}."""
+    value = raw.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _number(value, key: str, kind=float):
+    """value as a float, or as an int when kind is int; otherwise a ConfigError naming key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
 def _parse_covariates(section) -> dict:
+    """Covariate name -> its cap on |std diff| (math.inf for none) if continuous, else its NominalRule."""
     if not isinstance(section, dict):
         raise ConfigError("covariates must map column names to role declarations")
     out = {}
@@ -133,22 +149,23 @@ def _parse_covariates(section) -> dict:
         if role not in ROLES:
             raise ConfigError(f"covariate {name!r}: role must be one of {ROLES}")
         threshold = decl.get("threshold")
-        if threshold is not None:
-            if role != "continuous":
-                raise ConfigError(f"covariate {name!r}: threshold applies to continuous covariates")
-            threshold = float(threshold)
+        if threshold is not None and role != "continuous":
+            raise ConfigError(f"covariate {name!r}: threshold applies to continuous covariates")
         balance = decl.get("balance", "none")
-        k = int(decl.get("k", 0))
-        if role == "continuous" and balance != "none":
+        k = _number(decl.get("k", 0), f"covariates.{name}.k", int)
+        if role == "nominal":
+            out[str(name)] = NominalRule(kind=balance, k=k)
+        elif balance != "none":
             raise ConfigError(f"covariate {name!r}: balance rules apply to nominal covariates")
-        out[str(name)] = CovariateRole(role=role, threshold=threshold, balance=balance, k=k)
+        else:
+            out[str(name)] = math.inf if threshold is None else _number(threshold, f"covariates.{name}.threshold")
     return out
 
 
 def load_config(path: str) -> AnalysisConfig:
     """Load and validate a YAML config file."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(p.read_text(encoding="utf-8"))
@@ -162,11 +179,9 @@ def load_config(path: str) -> AnalysisConfig:
 
 
 def config_from_mapping(raw: dict) -> AnalysisConfig:
-    outcome = raw.get("outcome", {}) or {}
-    period = raw.get("period", {}) or {}
-    treatment = raw.get("treatment", {}) or {}
-    ident = raw.get("id", {}) or {}
-    matching = raw.get("matching", {}) or {}
+    outcome, period, treatment, ident, matching = (
+        _section(raw, key) for key in ("outcome", "period", "treatment", "id", "matching")
+    )
     labels = period.get("labels")
     if labels is not None:
         try:
@@ -179,7 +194,7 @@ def config_from_mapping(raw: dict) -> AnalysisConfig:
     return AnalysisConfig(
         input=raw.get("input"),
         output_dir=str(raw.get("output_dir", ".")),
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), "seed", int),
         outcome_column=outcome.get("column"),
         outcome_kind=outcome.get("kind", "continuous"),
         period_column=period.get("column", "period"),
@@ -188,16 +203,16 @@ def config_from_mapping(raw: dict) -> AnalysisConfig:
         id_column=ident.get("column"),
         covariates=_parse_covariates(raw.get("covariates", {}) or {}),
         objective=matching.get("objective", "maximize_pairs"),
-        caliper=None if caliper is None else float(caliper),
+        caliper=None if caliper is None else _number(caliper, "matching.caliper"),
         test=raw.get("test", "signed_rank"),
-        alpha=float(raw.get("alpha", 0.05)),
-        tau0=float(raw.get("tau0", 0.0)),
+        alpha=_number(raw.get("alpha", 0.05), "alpha"),
+        tau0=_number(raw.get("tau0", 0.0), "tau0"),
         sided=raw.get("sided", "one_sided_greater"),
         gammas=tuple(sorted(_as_float_tuple(raw.get("gammas", [1.0]), "gammas"))),
         amplification_lambdas=_as_float_tuple(
             raw.get("amplification_lambdas", []), "amplification_lambdas"
         ),
-        simulate=raw.get("simulate"),
+        simulate=_section(raw, "simulate") or None,
     )
 
 
@@ -244,7 +259,7 @@ def read_unit_records(path: str, cfg: AnalysisConfig) -> list[UnitRecord]:
     if cfg.outcome_column is None:
         raise ConfigError("outcome.column is required")
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise DataError(f"input file not found: {path}")
     records = []
     with p.open(newline="", encoding="utf-8") as fh:
@@ -285,30 +300,23 @@ def _parse_row(row: dict, lineno: int, cfg: AnalysisConfig) -> UnitRecord:
     except (TypeError, ValueError):
         fail(f"outcome value {row[cfg.outcome_column]!r} is not a number")
     covariates = {}
-    for name, role in cfg.covariates.items():
+    for name, rule in cfg.covariates.items():
         value = row[name]
-        if role.role == "continuous":
-            try:
-                covariates[name] = float(value)
-            except (TypeError, ValueError):
-                fail(f"covariate {name!r} value {value!r} is not a number")
-        else:
+        if isinstance(rule, NominalRule):
             covariates[name] = str(value)
+            continue
+        try:
+            covariates[name] = float(value)
+        except (TypeError, ValueError):
+            fail(f"covariate {name!r} value {value!r} is not a number")
     unit_id = row[cfg.id_column] if cfg.id_column else f"row{lineno}"
     return UnitRecord(id=unit_id, period=period, z=z, outcome=outcome, covariates=covariates)
 
 
 def _balance_spec(cfg: AnalysisConfig) -> BalanceSpec:
-    continuous = {}
-    nominal = {}
-    for name, role in cfg.covariates.items():
-        if role.role == "continuous":
-            continuous[name] = role.threshold if role.threshold is not None else math.inf
-        else:
-            nominal[name] = NominalRule(kind=role.balance, k=role.k)
-    return BalanceSpec(
-        continuous=continuous, nominal=nominal, caliper=cfg.caliper, objective=cfg.objective
-    )
+    nominal = {name: rule for name, rule in cfg.covariates.items() if isinstance(rule, NominalRule)}
+    continuous = {name: cap for name, cap in cfg.covariates.items() if name not in nominal}
+    return BalanceSpec(continuous=continuous, nominal=nominal, caliper=cfg.caliper, objective=cfg.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -342,46 +350,21 @@ def _write_quadruples_csv(path: Path, quads: QuadrupleSet) -> None:
 
 
 def _write_balance_csv(path: Path, reports: list) -> None:
-    header = [
-        "stage",
-        "covariate",
-        "std_diff_before",
-        "p_before",
-        "std_diff_after",
-        "p_after",
-        "draws_before",
-        "draws_after",
-        "note",
-        "n_treated_before",
-        "n_control_before",
-        "n_matched",
+    """One row per (stage, covariate): the stage, the BalanceRow fields, then the stage counts."""
+    columns = [f.name for f in fields(BalanceRow)]
+    counts = ("n_treated_before", "n_control_before", "n_matched")
+    rows = [
+        [rep.stage, *(_csv_cell(getattr(r, c)) for c in columns), *(getattr(rep, c) for c in counts)]
+        for rep in reports
+        for r in rep.rows
     ]
-    rows = []
-    for rep in reports:
-        for r in rep.rows:
-            rows.append(
-                [
-                    rep.stage,
-                    r.covariate,
-                    repr(float(r.std_diff_before)),
-                    repr(float(r.p_before)),
-                    repr(float(r.std_diff_after)),
-                    repr(float(r.p_after)),
-                    r.draws_before,
-                    r.draws_after,
-                    r.note,
-                    rep.n_treated_before,
-                    rep.n_control_before,
-                    rep.n_matched,
-                ]
-            )
-    _write_csv(path, header, rows)
+    _write_csv(path, ["stage", *columns, *counts], rows)
 
 
 def read_quadruples_csv(path: str, outcome_kind: str) -> QuadrupleSet:
     """Rebuild a QuadrupleSet from a quadruples.csv written by cmd_match."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise DataError(f"quadruples file not found: {path}")
     id_columns = [f"{slot}_id" for slot in SLOTS]
     outcome_columns = [f"{slot}_outcome" for slot in SLOTS]
@@ -401,6 +384,13 @@ def read_quadruples_csv(path: str, outcome_kind: str) -> QuadrupleSet:
     if not ids:
         raise DataError(f"{path}: no quadruples")
     return QuadrupleSet(ids, outcomes, outcome_kind)
+
+
+def _output_dir(cfg: AnalysisConfig) -> Path:
+    """cfg.output_dir, created if missing."""
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
 def _write_json_report(path: Path, report: dict) -> None:
@@ -435,8 +425,7 @@ def cmd_match(cfg: AnalysisConfig) -> int:
         balance_report(post, post_pairs, seed=cfg.seed),
         cross_balance_report(details, seed=cfg.seed),
     ]
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     _write_pairs_csv(outdir / "pairs_pre.csv", pre_pairs)
     _write_pairs_csv(outdir / "pairs_post.csv", post_pairs)
     _write_quadruples_csv(outdir / "quadruples.csv", quads)
@@ -468,7 +457,7 @@ def _load_quadruples(cfg: AnalysisConfig, quad_path: str):
     if cfg.outcome_kind != "binary":
         return quads, None
     if cfg.tau0 != 0.0:
-        raise ConfigError("binary tests address the sharp null; tau0 must be 0")
+        raise ConfigError(SHARP_NULL_RULE)
     elig = eligibility_report(quads)
     if not elig.eligible:
         histogram = ", ".join(f"{k}={v}" for k, v in sorted(elig.reasons.items()))
@@ -479,17 +468,23 @@ def _load_quadruples(cfg: AnalysisConfig, quad_path: str):
     return quads, elig
 
 
-def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
-    quads, elig = _load_quadruples(cfg, quad_path)
-    report = {
+def _report_head(command: str, cfg: AnalysisConfig, quads: QuadrupleSet, **settings) -> dict:
+    """The keys that open the test and sens reports, with settings before n_quadruples."""
+    return {
         "schema_version": SCHEMA_VERSION,
-        "command": "test",
+        "command": command,
         "outcome_kind": cfg.outcome_kind,
         "test": cfg.test,
         "sided": cfg.sided,
         "tau0": cfg.tau0,
+        **settings,
         "n_quadruples": len(quads),
     }
+
+
+def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
+    quads, elig = _load_quadruples(cfg, quad_path)
+    report = _report_head("test", cfg, quads)
     if elig is not None:
         report["eligibility"] = {
             "n_total": elig.n_total,
@@ -513,8 +508,7 @@ def cmd_test(cfg: AnalysisConfig, quad_path: str) -> int:
         lo, hi = invert_ci(quads, alpha=cfg.alpha, score=score_for(cfg.test))
         report["hl_estimate"] = hodges_lehmann(quads)
         report["ci"] = {"lower": _json_num(lo), "upper": _json_num(hi), "alpha": cfg.alpha}
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     _write_json_report(outdir / "test_report.json", report)
     print(f"test: {cfg.test} ({cfg.sided}), n = {report['n_quadruples']}")
     if "eligibility" in report:
@@ -542,18 +536,11 @@ def _json_num(x: float):
 
 
 def _amplification_rows(gamma: float, lambdas) -> list[dict]:
-    rows = []
-    for lam in lambdas:
-        if gamma > 1.0 and lam <= gamma:
-            continue  # outside the curve's domain (asymptote at lam = gamma)
-        rows.append(
-            {
-                "lam": lam,
-                "delta_did": amplify_did(gamma, lam),
-                "delta_paired": amplify_paired(gamma, lam),
-            }
-        )
-    return rows
+    """One row per lambda; outside the curves' domain amplify_did raises ValueError (exit 2)."""
+    return [
+        {"lam": lam, "delta_did": amplify_did(gamma, lam), "delta_paired": amplify_paired(gamma, lam)}
+        for lam in lambdas
+    ]
 
 
 def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
@@ -571,7 +558,10 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
                 "p_upper": res.p_value,
                 "bound_lower": _json_num(lo),
                 "bound_upper": _json_num(hi),
-                "amplification": _amplification_rows(gamma, cfg.amplification_lambdas),
+                # lambdas at or below gamma > 1 lie past the asymptote at lam = gamma
+                "amplification": _amplification_rows(
+                    gamma, [lam for lam in cfg.amplification_lambdas if gamma == 1.0 or lam > gamma]
+                ),
             }
         )
     cp = changepoint_gamma(pvalue, cfg.alpha)
@@ -583,20 +573,8 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
             "gamma_squared": _json_num(cp * cp) if math.isfinite(cp) else None,
             "unbounded": not math.isfinite(cp),
         }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sens",
-        "outcome_kind": cfg.outcome_kind,
-        "test": cfg.test,
-        "sided": cfg.sided,
-        "tau0": cfg.tau0,
-        "alpha": cfg.alpha,
-        "n_quadruples": len(quads),
-        "grid": grid,
-        "changepoint": changepoint,
-    }
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    report = {**_report_head("sens", cfg, quads, alpha=cfg.alpha), "grid": grid, "changepoint": changepoint}
+    outdir = _output_dir(cfg)
     _write_json_report(outdir / "sens_report.json", report)
     print(f"sensitivity analysis: {cfg.test} ({cfg.sided}), n = {report['n_quadruples']}")
     header = "gamma    gamma^2  p_upper"
@@ -628,16 +606,8 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
 
 
 def cmd_amplify(gamma: float, lambdas, json_path: str | None) -> int:
-    if gamma < 1.0:
-        raise ConfigError(f"gamma must be >= 1, got {gamma}")
     if not lambdas:
         raise ConfigError("at least one lambda is required")
-    for lam in lambdas:
-        if gamma > 1.0 and lam <= gamma:
-            raise ConfigError(
-                f"lambda must exceed gamma (curve has a vertical asymptote at lambda = gamma); "
-                f"got lambda = {lam} with gamma = {gamma}"
-            )
     rows = _amplification_rows(gamma, lambdas)
     print(f"amplification of gamma = {_sig4(gamma)} (did gamma^2 = {_sig4(gamma * gamma)})")
     print("lambda   delta_did  delta_paired")
@@ -664,9 +634,9 @@ def cmd_simulate(cfg: AnalysisConfig) -> int:
     if not section:
         raise ConfigError("config needs a 'simulate' section")
     kind = section.get("design", "continuous")
-    if kind not in _DESIGN_KEYS:
-        raise ConfigError(f"simulate.design must be one of {tuple(_DESIGN_KEYS)}")
-    reps = int(section.get("reps", 0))
+    if kind not in VALID_OUTCOME_KINDS:
+        raise ConfigError(f"simulate.design must be one of {VALID_OUTCOME_KINDS}")
+    reps = _number(section.get("reps", 0), "simulate.reps", int)
     if reps < 1:
         raise ConfigError("simulate.reps must be >= 1")
     params = section.get("params", {}) or {}
@@ -680,9 +650,11 @@ def cmd_simulate(cfg: AnalysisConfig) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulate.plan: {exc}") from None
     _check_kind_test(kind, plan.test, "simulate.design", "simulate.plan.test")
-    result = level_power_study(design, plan, reps=reps, seed=cfg.seed)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        result = level_power_study(design, plan, reps=reps, seed=cfg.seed)
+    except DataError as exc:  # the data come from simulate.params, so they are at fault
+        raise ConfigError(f"simulate.params: {exc}") from None
+    outdir = _output_dir(cfg)
     path = outdir / "simulation.csv"
     rep_cols = []
     for row in result.rows:
@@ -721,14 +693,25 @@ def cmd_patterns(outdir: str) -> int:
 # argument parsing and dispatch
 
 
-def _add_config_arg(p) -> None:
+def _add_config_parser(sub, name: str, help: str):
+    """A subcommand that reads a config file, with the overrides every such subcommand takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", required=True, help="YAML config file")
-
-
-def _add_common_overrides(p) -> None:
     p.add_argument("--input", help="input CSV (overrides config)")
     p.add_argument("--output-dir", dest="output_dir", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed (overrides config)")
+    return p
+
+
+def _add_analysis_parser(sub, name: str, help: str):
+    """The subcommand for test or sens, with the options the two share."""
+    p = _add_config_parser(sub, name, help)
+    p.add_argument("--quadruples", help="quadruples.csv from match (default: <output_dir>/quadruples.csv)")
+    p.add_argument("--test", choices=TESTS)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--tau0", type=float)
+    p.add_argument("--sided", choices=("one_sided_greater", "one_sided_less", "two_sided"))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -738,29 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("match", help="three-stage matching into quadruples")
-    _add_config_arg(p)
-    _add_common_overrides(p)
+    p = _add_config_parser(sub, "match", "three-stage matching into quadruples")
     p.add_argument("--objective", choices=("maximize_pairs", "minimize_total_distance"))
     p.add_argument("--caliper", type=float)
 
-    p = sub.add_parser("test", help="randomization test on matched quadruples")
-    _add_config_arg(p)
-    _add_common_overrides(p)
-    p.add_argument("--quadruples", help="quadruples.csv from match (default: <output_dir>/quadruples.csv)")
-    p.add_argument("--test", choices=TESTS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau0", type=float)
-    p.add_argument("--sided", choices=("one_sided_greater", "one_sided_less", "two_sided"))
+    _add_analysis_parser(sub, "test", "randomization test on matched quadruples")
 
-    p = sub.add_parser("sens", help="worst-case p-values over a gamma grid")
-    _add_config_arg(p)
-    _add_common_overrides(p)
-    p.add_argument("--quadruples")
-    p.add_argument("--test", choices=TESTS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau0", type=float)
-    p.add_argument("--sided", choices=("one_sided_greater", "one_sided_less", "two_sided"))
+    p = _add_analysis_parser(sub, "sens", "worst-case p-values over a gamma grid")
     p.add_argument("--gammas", help="comma-separated gamma grid (overrides config)")
     p.add_argument("--lambdas", help="comma-separated lambdas for amplification tables")
 
@@ -769,9 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
     p.add_argument("--json", dest="json_path", help="also write a JSON report here")
 
-    p = sub.add_parser("simulate", help="Monte Carlo level/power study")
-    _add_config_arg(p)
-    _add_common_overrides(p)
+    _add_config_parser(sub, "simulate", "Monte Carlo level/power study")
 
     p = sub.add_parser("patterns", help="schematic before/after response panels")
     p.add_argument("--outdir", default=".", help="directory for the SVG files")

@@ -135,9 +135,14 @@ class QuadrupleSet:
                 raise StructuralError(f"unit {str(units[counts > 1][0])!r} appears in more than one slot")
         with np.errstate(over="ignore", invalid="ignore"):  # reported as DataError below
             d = (y[:, 2] - y[:, 3]) - (y[:, 0] - y[:, 1])
+            sum_of_squares = float(d @ d)
         if not np.isfinite(d).all():
             row = int(np.flatnonzero(~np.isfinite(d))[0])
             raise DataError(f"quadruple row {row}: contrast d = {float(d[row])} is not finite")
+        if not math.isfinite(sum_of_squares):  # the analyses square and add contrasts
+            row = int(np.argmax(np.abs(d)))
+            raise DataError(f"quadruple row {row}: contrast d = {float(d[row])} is too large: "
+                            "the contrasts' sum of squares overflows float64")
         d.flags.writeable = False
         _set(self, d=d)
 
@@ -185,13 +190,12 @@ class QuadrupleSet:
     def subset(self, rows) -> QuadrupleSet:
         """The quadruples at rows (indices, a boolean mask or a slice), in that order.
 
-        A slice or mask of this set's rows is checked already.  Indices are
-        checked for repeats, and a repeat goes to the constructor, which
-        names a unit it reuses.  The subset reads its ids from this set's
-        when they are first read.
+        A slice or mask of this set's rows is checked already, and the subset
+        reads its ids from this set's when they are first read.  Indices go
+        through the constructor, which names a unit that a repeated row reuses.
         """
-        index = rows if isinstance(rows, slice) else np.array(rows)
-        if not isinstance(index, slice) and not _picks_rows_once(index, len(self)):
+        index = rows if isinstance(rows, slice) else np.asarray(rows)
+        if not isinstance(index, slice) and (index.ndim != 1 or index.dtype.kind != "b"):
             return QuadrupleSet(self.ids[rows], self.outcomes[rows], self.outcome_kind)
         y, d = self.outcomes[index], self.d[index]
         y.flags.writeable = False
@@ -199,16 +203,6 @@ class QuadrupleSet:
         quads = QuadrupleSet.__new__(QuadrupleSet)
         _set(quads, _ids=lambda: self.ids[index], outcomes=y, outcome_kind=self.outcome_kind, d=d)
         return quads
-
-
-def _picks_rows_once(index: np.ndarray, n: int) -> bool:
-    """Whether index is a 1-d boolean mask, or 1-d integers naming no row of n twice."""
-    if index.ndim != 1 or index.dtype.kind not in "biu":
-        return False
-    if index.dtype.kind == "b":
-        return True
-    at = np.where(index < 0, index + n, index)
-    return np.unique(at).size == at.size
 
 
 def _set(quads: QuadrupleSet, **attrs) -> None:
@@ -248,7 +242,7 @@ def validate_dataset(records: list[UnitRecord], outcome_kind: str = "continuous"
         if rec.id in seen_ids:
             problems.append(f"record {rec.id!r}: duplicate id")
         seen_ids.add(rec.id)
-        if not np.isfinite(rec.outcome):
+        if not math.isfinite(rec.outcome):
             problems.append(f"record {rec.id!r}: outcome is not finite")
         elif outcome_kind == "binary" and rec.outcome not in (0, 1):
             problems.append(f"record {rec.id!r}: binary outcome must be 0 or 1, got {rec.outcome!r}")

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -147,21 +146,6 @@ def _std_diff(diff: float, scale: float) -> float:
     if scale == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return diff / scale
-
-
-def standardized_difference(
-    column: np.ndarray, group_a: np.ndarray, group_b: np.ndarray, scale: float
-) -> float:
-    """(mean_a - mean_b) / scale, with a +inf sentinel (and a warning) at zero scale.
-
-    The scale is supplied by the caller so that before/after comparisons
-    share the full-sample pooled SD.
-    """
-    column = np.asarray(column, dtype=np.float64)
-    sd = _std_diff(float(column[group_a].mean() - column[group_b].mean()), scale)
-    if scale == 0.0 and sd != 0.0:
-        warnings.warn("zero pooled SD with unequal means; reporting inf", stacklevel=2)
-    return sd
 
 
 def _rank_mahalanobis(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ DIRECTIONS = ("upper", "lower")
 # Sign-score tests, which also give a shift estimate, an interval and estimate bounds.
 SCORE_TESTS = ("signed_rank", "permutational_t")
 TESTS = SCORE_TESTS + ("sate", "mcnemar")
+# The McNemar rule for tau0, raised by every entry point that meets it.
+SHARP_NULL_RULE = "mcnemar tests the sharp null; tau0 must be 0"
 # Width of the probed bracket that changepoint_gamma returns the lower end of.
 CHANGEPOINT_TOL = 1e-4
 
@@ -121,6 +123,18 @@ def paired_gamma_from(lam: float, delta: float) -> float:
     return (lam * delta + 1.0) / (lam + delta)
 
 
+def _check_amplification(gamma: float, lam: float) -> None:
+    """Both caps at least 1, and lam > gamma unless gamma = 1."""
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
+    if lam < 1:
+        raise ValueError("lam must be >= 1")
+    if gamma != 1.0 and lam <= gamma:
+        raise ValueError(
+            f"amplification needs lam > gamma (asymptote at lam = gamma): got lam={lam}, gamma={gamma}"
+        )
+
+
 def amplify_did(gamma: float, lam: float) -> float:
     """Outcome-side cap delta matching (gamma, lam) in this design.
 
@@ -129,16 +143,9 @@ def amplify_did(gamma: float, lam: float) -> float:
     Requires lam > gamma (the curve has a vertical asymptote at lam =
     gamma: no finite outcome-side cap suffices at or below it).
     """
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
+    _check_amplification(gamma, lam)
     if gamma == 1.0:
         return 1.0
-    if lam <= gamma:
-        raise ValueError(
-            f"amplification needs lam > gamma (asymptote at lam = gamma): got lam={lam}, gamma={gamma}"
-        )
     g2 = gamma * gamma
     l2 = lam * lam
     return math.sqrt((g2 * l2 - 1.0) / (l2 - g2))
@@ -146,16 +153,9 @@ def amplify_did(gamma: float, lam: float) -> float:
 
 def amplify_paired(gamma: float, lam: float) -> float:
     """Classical single-period amplification: delta = (gamma lam - 1)/(lam - gamma)."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
+    _check_amplification(gamma, lam)
     if gamma == 1.0:
         return 1.0
-    if lam <= gamma:
-        raise ValueError(
-            f"amplification needs lam > gamma (asymptote at lam = gamma): got lam={lam}, gamma={gamma}"
-        )
     return (gamma * lam - 1.0) / (lam - gamma)
 
 
@@ -203,11 +203,9 @@ def estimate_bounds(
     to the score's own estimate: Hodges-Lehmann for ranks, the mean for
     absolute values.  tol has no effect; acceptance criterion 05 passes it.
     """
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
+    p_lo, p_hi = one_param_bounds(gamma)
     score = score or ScoreFunction.wilcoxon()
     d = quads.d_values()
-    p_lo, p_hi = one_param_bounds(gamma)
     if d.size and not p_hi < 1.0:
         # gamma^2 / (1 + gamma^2) rounds to 1 above gamma ~ 1e8: both closed
         # forms have reached their limits, min d and max d.
@@ -332,7 +330,7 @@ def upper_pvalues(
     score = score_for(test)
     if test == "mcnemar":
         if tau0 != 0.0:
-            raise ValueError("binary designs test the sharp null; tau0 must be 0")
+            raise ValueError(SHARP_NULL_RULE)
         if quads.outcome_kind != "binary":
             raise StructuralError("test mcnemar requires outcome_kind='binary'")
         score = ScoreFunction.mcnemar()

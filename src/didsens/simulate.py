@@ -19,7 +19,9 @@ hidden trait sits directly in the outcome logit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
@@ -29,6 +31,7 @@ from .core import QuadrupleSet
 from .errors import StructuralError
 from .inference import hodges_lehmann
 from .sensitivity import (
+    SHARP_NULL_RULE,
     TESTS,
     changepoint_gamma,
     estimate_bounds,
@@ -66,6 +69,7 @@ class ContinuousDesign:
     u_dist: str = "bernoulli"
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if self.n_quadruples < 1:
             raise ValueError("n_quadruples must be >= 1")
         if self.residual not in RESIDUALS:
@@ -97,10 +101,28 @@ class BinaryDesign:
     u_dist: str = "bernoulli"
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if self.n_quadruples < 1:
             raise ValueError("n_quadruples must be >= 1")
         if self.u_dist not in U_DISTS:
             raise ValueError(f"u_dist must be one of {U_DISTS}")
+
+
+def _check_numbers(spec) -> None:
+    """Each int field of a design or plan holds an integer and each float field a finite number.
+
+    A field typed "... | None" may also hold None.  A spread (a field named *_sd or
+    *_scale) must be >= 0.
+    """
+    for f in fields(spec):
+        value, kind = getattr(spec, f.name), f.type.removesuffix(" | None")
+        if kind not in ("int", "float") or (value is None and kind != f.type):
+            continue
+        number, noun = (Integral, "an integer") if kind == "int" else (Real, "a finite number")
+        if isinstance(value, bool) or not isinstance(value, number) or not math.isfinite(value):
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        if f.name.endswith(("_sd", "_scale")) and value < 0:
+            raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -111,6 +133,19 @@ def _draw_u(rng: np.random.Generator, dist: str, shape) -> np.ndarray:
     if dist == "bernoulli":
         return rng.integers(0, 2, size=shape).astype(np.float64)
     return rng.random(shape)
+
+
+def _draw_units(rng: np.random.Generator, design, mu_mean: float) -> tuple[np.ndarray, ...]:
+    """(mu, alpha, beta, b, u, du1, du2), the draws both generators open with, in stream order.
+
+    du1 and du2 are the within-pair differences of u in periods 1 and 2."""
+    n = design.n_quadruples
+    mu = rng.normal(mu_mean, design.mu_sd, n)
+    alpha = rng.normal(0.0, design.alpha_sd, n)
+    beta = rng.normal(0.0, design.beta_sd, n)
+    b = 2 * rng.integers(0, 2, n) - 1
+    u = _draw_u(rng, design.u_dist, (n, 2, 2))
+    return mu, alpha, beta, b, u, u[:, 0, 0] - u[:, 0, 1], u[:, 1, 0] - u[:, 1, 1]
 
 
 def _draw_assignment(
@@ -139,13 +174,7 @@ def generate_continuous(design: ContinuousDesign, seed=None) -> tuple[np.ndarray
     """
     rng = _rng(seed)
     n = design.n_quadruples
-    mu = rng.normal(0.0, design.mu_sd, n)
-    alpha = rng.normal(0.0, design.alpha_sd, n)
-    beta = rng.normal(0.0, design.beta_sd, n)
-    b = 2 * rng.integers(0, 2, n) - 1
-    u = _draw_u(rng, design.u_dist, (n, 2, 2))
-    du1 = u[:, 0, 0] - u[:, 0, 1]
-    du2 = u[:, 1, 0] - u[:, 1, 1]
+    mu, alpha, beta, b, u, du1, du2 = _draw_units(rng, design, 0.0)
     if design.residual == "normal":
         eps = rng.normal(0.0, design.residual_scale, (n, 2, 2))
     else:
@@ -177,13 +206,7 @@ def generate_binary(design: BinaryDesign, seed=None) -> tuple[np.ndarray, np.nda
     """Draw (z, outcomes) from the binary logit model, shaped as in generate_continuous."""
     rng = _rng(seed)
     n = design.n_quadruples
-    mu = rng.normal(design.mu_mean, design.mu_sd, n)
-    alpha = rng.normal(0.0, design.alpha_sd, n)
-    beta = rng.normal(0.0, design.beta_sd, n)
-    b = 2 * rng.integers(0, 2, n) - 1
-    u = _draw_u(rng, design.u_dist, (n, 2, 2))
-    du1 = u[:, 0, 0] - u[:, 0, 1]
-    du2 = u[:, 1, 0] - u[:, 1, 1]
+    mu, alpha, beta, b, u, du1, du2 = _draw_units(rng, design, design.mu_mean)
     v1, v2 = _draw_assignment(rng, design, du1, du2, b)
     z = _slot_z(v1, v2)
     deltas = np.array([design.delta1, design.delta2])[None, :, None]
@@ -268,12 +291,17 @@ class AnalysisPlan:
     mcnemar_budget: int | None = None
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if self.test not in TESTS:
             raise ValueError(f"unknown test {self.test!r}")
         if self.test == "mcnemar" and self.tau0 != 0.0:
-            raise ValueError("mcnemar tests the sharp null; tau0 must be 0")
+            raise ValueError(SHARP_NULL_RULE)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        for name in ("gamma", "estimate_gamma"):
+            gamma = getattr(self, name)
+            if gamma is not None and not (gamma >= 1.0 and math.isfinite(gamma * gamma)):
+                raise ValueError(f"{name} must be >= 1 with a finite square, got {gamma!r}")
         if self.mcnemar_budget is not None and self.mcnemar_budget < 1:
             raise ValueError("mcnemar_budget must be >= 1")
 
@@ -349,7 +377,8 @@ def level_power_study(
     rows: list[dict] = []
     for r, child in enumerate(children):
         rng = np.random.default_rng(child)
-        units = generate_binary(design, rng) if binary else generate_continuous(design, rng)
+        with np.errstate(over="ignore", invalid="ignore"):  # outcomes that overflow fail the contrast check
+            units = generate_binary(design, rng) if binary else generate_continuous(design, rng)
         quads = quadruples_from_records(units, outcome_kind=kind)
         row = {"rep": r}
         row.update(_analyze_one(quads, plan, true_tau))

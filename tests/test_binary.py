@@ -10,7 +10,6 @@ from didsens.binary import (
     eligibility_report,
     eligible_quadruples,
     mcnemar_sensitivity_pvalue,
-    mcnemar_statistic,
 )
 from didsens.errors import DegenerateDataError, StructuralError
 from didsens.inference import SIDES, ScoreFunction, _signscore_pvalue
@@ -70,7 +69,7 @@ def test_eligible_signs_match_contrasts():
     qs = binary_quadset([POSITIVE, NEGATIVE, POSITIVE])
     els = eligible_quadruples(qs)
     assert els.d_values().tolist() == [2.0, -2.0, 2.0]
-    assert mcnemar_statistic(els) == 2
+    assert mcnemar_sensitivity_pvalue(els).statistic == 2
 
 
 def test_binary_guard_rejects_continuous_sets():

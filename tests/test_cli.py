@@ -13,7 +13,10 @@ import yaml
 
 from didsens import binary, cli, matching
 from didsens.cli import read_quadruples_csv
-from didsens.sensitivity import changepoint_gamma, sate_pvalue, upper_pvalues
+from didsens.sensitivity import SHARP_NULL_RULE, changepoint_gamma, sate_pvalue, upper_pvalues
+from didsens.simulate import AnalysisPlan
+
+from conftest import binary_quadset
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -424,6 +427,31 @@ def _write_binary_quadruples(path, n_pos, n_neg, n_flat=0):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _sharp_null_error(entry, tmp_path, capsys):
+    """The message with which entry refuses a McNemar analysis at tau0 = 0.5."""
+    if entry == "upper_pvalues":
+        with pytest.raises(ValueError) as exc:
+            upper_pvalues(binary_quadset([(0, 1, 1, 0)]), "mcnemar", tau0=0.5)
+        return str(exc.value)
+    if entry == "AnalysisPlan":
+        with pytest.raises(ValueError) as exc:
+            AnalysisPlan(test="mcnemar", tau0=0.5)
+        return str(exc.value)
+    quads = tmp_path / "quadruples.csv"
+    _write_binary_quadruples(quads, n_pos=3, n_neg=1)
+    config = write_config(
+        tmp_path / "config.yaml", tmp_path / "unused.csv", tmp_path / "out",
+        outcome={"column": "y", "kind": "binary"}, test="mcnemar", tau0=0.5,
+    )
+    assert cli.main([entry, "--config", str(config), "--quadruples", str(quads)]) == 2
+    return capsys.readouterr().err.removeprefix("config error: ").rstrip("\n")
+
+
+@pytest.mark.parametrize("entry", ["test", "sens", "upper_pvalues", "AnalysisPlan"])
+def test_mcnemar_sharp_null_rule_reads_the_same_everywhere(tmp_path, capsys, entry):
+    assert _sharp_null_error(entry, tmp_path, capsys) == SHARP_NULL_RULE
 
 
 def test_binary_test_command(tmp_path):

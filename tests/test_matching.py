@@ -25,7 +25,6 @@ from didsens.matching import (
     cross_period_match,
     pair_summaries,
     pooled_sd,
-    standardized_difference,
     within_period_match,
 )
 
@@ -36,21 +35,6 @@ def test_pooled_sd_hand_example():
     col = np.array([0.0, 2.0, 10.0, 14.0])
     # group variances 2 and 8, so the pooled SD is sqrt(5)
     assert pooled_sd(col, np.array([0, 1]), np.array([2, 3])) == pytest.approx(math.sqrt(5.0))
-
-
-def test_standardized_difference_hand_example():
-    col = np.array([1.0, 2.0, 5.0, 7.0])
-    sd = standardized_difference(col, np.array([0, 1]), np.array([2, 3]), scale=2.25)
-    assert sd == pytest.approx(-2.0)
-
-
-def test_standardized_difference_zero_scale_sentinel():
-    col = np.array([1.0, 1.0, 2.0, 2.0])
-    with pytest.warns(UserWarning, match="zero pooled SD"):
-        sd = standardized_difference(col, np.array([0, 1]), np.array([2, 3]), scale=0.0)
-    assert sd == math.inf
-    same = standardized_difference(col, np.array([0, 1]), np.array([0, 1]), scale=0.0)
-    assert same == 0.0
 
 
 def test_spec_validation():

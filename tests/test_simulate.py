@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from didsens import binary, simulate
-from didsens.binary import eligibility_report, eligible_quadruples, mcnemar_statistic
+from didsens.binary import eligibility_report, eligible_quadruples
 from didsens.errors import StructuralError
 from didsens.sensitivity import TESTS, outcome_takes_test
 from didsens.simulate import (
@@ -147,7 +147,7 @@ def test_binary_positive_effect_raises_the_statistic():
     design = BinaryDesign(n_quadruples=3000, tau_logit=1.5, mu_sd=0.0, alpha_sd=0.0, beta_sd=0.0)
     quads = quadruples_from_records(generate_binary(design, seed=9), outcome_kind="binary")
     els = eligible_quadruples(quads)
-    assert mcnemar_statistic(els) > 0.6 * len(els)
+    assert binary.mcnemar_sensitivity_pvalue(els).statistic > 0.6 * len(els)
 
 
 def test_level_power_study_rows_and_summary():
