@@ -26,8 +26,9 @@ import yaml
 from .binary import eligibility_report
 from .core import SLOTS, VALID_OUTCOME_KINDS, MatchedPair, QuadrupleSet, UnitRecord, validate_dataset
 from .errors import ConfigError, DataError, InfeasibleMatchError
-from .inference import hodges_lehmann, invert_ci, randomization_pvalue
+from .inference import SIDES, hodges_lehmann, invert_ci, randomization_pvalue
 from .matching import (
+    OBJECTIVES,
     BalanceRow,
     BalanceSpec,
     NominalRule,
@@ -134,13 +135,12 @@ def _number(value, key: str, kind=float):
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
-def _parse_covariates(section) -> dict:
+def _parse_covariates(section: dict) -> dict:
     """Covariate name -> its cap on |std diff| (math.inf for none) if continuous, else its NominalRule."""
-    if not isinstance(section, dict):
-        raise ConfigError("covariates must map column names to role declarations")
     out = {}
     for name, decl in section.items():
         if not isinstance(decl, dict) or "role" not in decl:
@@ -157,8 +157,10 @@ def _parse_covariates(section) -> dict:
             out[str(name)] = NominalRule(kind=balance, k=k)
         elif balance != "none":
             raise ConfigError(f"covariate {name!r}: balance rules apply to nominal covariates")
+        elif threshold is None:
+            out[str(name)] = math.inf
         else:
-            out[str(name)] = math.inf if threshold is None else _number(threshold, f"covariates.{name}.threshold")
+            out[str(name)] = _number(threshold, f"covariates.{name}.threshold")
     return out
 
 
@@ -201,7 +203,7 @@ def config_from_mapping(raw: dict) -> AnalysisConfig:
         period_labels=labels,
         treatment_column=treatment.get("column", "z"),
         id_column=ident.get("column"),
-        covariates=_parse_covariates(raw.get("covariates", {}) or {}),
+        covariates=_parse_covariates(_section(raw, "covariates")),
         objective=matching.get("objective", "maximize_pairs"),
         caliper=None if caliper is None else _number(caliper, "matching.caliper"),
         test=raw.get("test", "signed_rank"),
@@ -216,27 +218,12 @@ def config_from_mapping(raw: dict) -> AnalysisConfig:
     )
 
 
-_OVERRIDABLE = (
-    "input",
-    "output_dir",
-    "seed",
-    "test",
-    "alpha",
-    "tau0",
-    "sided",
-    "objective",
-    "caliper",
-)
-
-
 def _config_with_overrides(args) -> AnalysisConfig:
+    """The config file's settings, each overridden by the flag of the same name when one is given."""
     cfg = load_config(args.config)
-    updates = {}
-    for key in _OVERRIDABLE:
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    if getattr(args, "gammas", None) is not None:
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    updates = {name: value for name, value in flags.items() if value is not None}
+    if "gammas" in updates:
         updates["gammas"] = tuple(sorted(_as_float_tuple(args.gammas, "gammas")))
     if getattr(args, "lambdas", None) is not None:
         updates["amplification_lambdas"] = _as_float_tuple(args.lambdas, "lambdas")
@@ -626,9 +613,6 @@ def cmd_amplify(gamma: float, lambdas, json_path: str | None) -> int:
     return 0
 
 
-_DESIGN_KEYS = {"continuous": ContinuousDesign, "binary": BinaryDesign}
-
-
 def cmd_simulate(cfg: AnalysisConfig) -> int:
     section = cfg.simulate
     if not section:
@@ -642,7 +626,7 @@ def cmd_simulate(cfg: AnalysisConfig) -> int:
     params = section.get("params", {}) or {}
     plan_params = section.get("plan", {}) or {}
     try:
-        design = _DESIGN_KEYS[kind](**params)
+        design = (BinaryDesign if kind == "binary" else ContinuousDesign)(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulate.params: {exc}") from None
     try:
@@ -710,7 +694,7 @@ def _add_analysis_parser(sub, name: str, help: str):
     p.add_argument("--test", choices=TESTS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--tau0", type=float)
-    p.add_argument("--sided", choices=("one_sided_greater", "one_sided_less", "two_sided"))
+    p.add_argument("--sided", choices=SIDES)
     return p
 
 
@@ -722,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_config_parser(sub, "match", "three-stage matching into quadruples")
-    p.add_argument("--objective", choices=("maximize_pairs", "minimize_total_distance"))
+    p.add_argument("--objective", choices=OBJECTIVES)
     p.add_argument("--caliper", type=float)
 
     _add_analysis_parser(sub, "test", "randomization test on matched quadruples")

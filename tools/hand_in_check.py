@@ -68,7 +68,8 @@ def main(argv: list[str]) -> int:
                 problem = _check(proc)
                 failures += bool(problem)
                 last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-                print(f"{revision} {workload} --trace {trace}: {'FAIL ' + problem if problem else 'ok'}  {last[:160]}")
+                status = f"FAIL {problem}" if problem else "ok"
+                print(f"{revision} {workload} --trace {trace}: {status}  {last[:160]}")
     return 1 if failures else 0
 
 
