@@ -97,9 +97,10 @@ class QuadrupleSet:
 
     ids and outcomes are (n, 4) arrays whose columns follow SLOTS, binary
     outcomes 0 or 1; d holds each row's contrast (post treated - post
-    control) - (pre treated - pre control), which must be finite.  All
-    three are read-only, and so is the set.  The constructor checks all of
-    this; a subset keeps its parent's checks instead of repeating them.
+    control) - (pre treated - pre control), which must be finite, and so
+    must the sum of their squares.  All three are read-only, and so is the
+    set.  The constructor checks all of this; a subset keeps its parent's
+    checks instead of repeating them.
     """
 
     def __init__(self, ids, outcomes, outcome_kind: str = "continuous") -> None:
