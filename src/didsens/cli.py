@@ -595,6 +595,9 @@ def cmd_sens(cfg: AnalysisConfig, quad_path: str) -> int:
 def cmd_amplify(gamma: float, lambdas, json_path: str | None) -> int:
     if not lambdas:
         raise ConfigError("at least one lambda is required")
+    for key, value in (("--gamma", gamma), *(("--lambdas", lam) for lam in lambdas)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     rows = _amplification_rows(gamma, lambdas)
     print(f"amplification of gamma = {_sig4(gamma)} (did gamma^2 = {_sig4(gamma * gamma)})")
     print("lambda   delta_did  delta_paired")

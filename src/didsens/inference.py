@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from . import kernels
 from .core import QuadrupleSet
@@ -81,32 +81,40 @@ class ScoreFunction:
         raise ValueError(f"unknown score kind {self.kind!r}")
 
     def estimate(self, d: np.ndarray, p: float) -> float:
-        """Root in tau of: positive-sign score sum of d - tau = p * total score.
+        """Root in tau of: positive-sign score sum of d - tau = p * total score."""
+        return self.estimates(d, (p,))[0]
+
+    def estimates(self, d: np.ndarray, ps) -> list[float]:
+        """`estimate` at each p in ps, from one pass over the contrasts.
 
         Wilcoxon: that sum counts the N Walsh averages (d_i + d_j)/2, i <= j,
         above tau, so the root is the midpoint of their order statistics at
         0-based ranks N - ceil(pN) and N - floor(pN) - 1 (Hodges-Lehmann at
-        p = 1/2).  Absolute values: the expectile tau = mean + c * sum((d -
-        tau)+), c = (1 - 2p)/(p n) (Newey & Powell 1987), d.mean() at p = 1/2.
+        p = 1/2); one partition selects them for every p.  Absolute values:
+        the expectile tau = mean + c * sum((d - tau)+), c = (1 - 2p)/(p n)
+        (Newey & Powell 1987), d.mean() at p = 1/2.
         """
         if d.size == 0:
             raise DegenerateDataError("no quadruples")
-        if not 0.0 < p < 1.0:
+        if not all(0.0 < p < 1.0 for p in ps):
             raise ValueError("p must lie in (0, 1)")
         if self.kind == "wilcoxon":
             walsh = ((d[:, None] + d) / 2.0)[np.tri(d.size, dtype=bool)]
-            t = p * walsh.size
-            lo, hi = walsh.size - math.ceil(t), walsh.size - math.floor(t) - 1
-            walsh = np.partition(walsh, (hi, lo))
-            return float(0.5 * (walsh[lo] + walsh[hi]))
+            ranks = [(walsh.size - math.ceil(p * walsh.size), walsh.size - math.floor(p * walsh.size) - 1)
+                     for p in ps]
+            walsh = np.partition(walsh, sorted({k for pair in ranks for k in pair}))
+            return [float(0.5 * (walsh[lo] + walsh[hi])) for lo, hi in ranks]
         if self.kind == "absolute_value":
             n, mean = d.size, d.mean()
-            c = (1.0 - 2.0 * p) / (p * n)
             s = np.sort(d)[::-1]
             top = np.concatenate([[0.0], np.cumsum(s)])
-            # The root lies below the k largest d and at or above the rest.
-            k = int(np.count_nonzero(s - mean - c * (top[:-1] - np.arange(n) * s) > 0))
-            return float(mean + c * (top[k] - k * mean) / (1.0 + c * k))
+            out = []
+            for p in ps:
+                c = (1.0 - 2.0 * p) / (p * n)
+                # The root lies below the k largest d and at or above the rest.
+                k = int(np.count_nonzero(s - mean - c * (top[:-1] - np.arange(n) * s) > 0))
+                out.append(float(mean + c * (top[k] - k * mean) / (1.0 + c * k)))
+            return out
         if self.kind == "mcnemar":
             raise ValueError("McNemar scores define no shift estimate")
         raise ValueError(f"unknown score kind {self.kind!r}")
@@ -155,11 +163,19 @@ def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
         x = q * scale
         r = np.round(x)
         if np.max(np.abs(x - r)) <= 1e-8:
-            ints = r.astype(np.int64)
-            if ints.sum() <= DP_MAX_TOTAL:
-                return ints, scale
-            return None
+            # The sum is checked before the cast, which would overflow int64 on huge scores.
+            return (r.astype(np.int64), scale) if r.sum() <= DP_MAX_TOTAL else None
     return None
+
+
+def _check_tau0(d: np.ndarray, tau0: float) -> None:
+    """Refuse, by name, a tau0 that puts the sum of squares of d - tau0 (the analyses form it) past float64."""
+    with np.errstate(over="ignore"):
+        a = d - tau0
+        if math.isfinite(float(a @ a)):
+            return
+    raise ValueError(f"tau0 = {tau0!r} is too far from the contrasts: "
+                     "the sum of squares of d - tau0 overflows float64")
 
 
 # The last DP result, as ((sorted integer scores, p_plus), lo, read-only pmf from lo).
@@ -189,12 +205,68 @@ def _null_pmf(ints: np.ndarray, p_plus: float, lo: int = 0, hi: int | None = Non
     return entry[2][lo - entry[1] : hi - entry[1] + 1]
 
 
-def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: bool) -> tuple[float, str]:
+def _saddlepoint_tail(ints: np.ndarray, t: int, p_plus: float) -> float:
+    """Saddlepoint approximation of P(T >= t), T = sum(eps_i * ints_i), eps_i iid Bernoulli(p_plus).
+
+    Lugannani & Rice (1980) with the second continuity correction for lattice
+    variables (Daniels 1987), in units of the lattice span gcd(ints): the
+    saddlepoint s solves K'(s) = x = t - 1/2 for K(s) = sum(log(1 - p + p e^(s q_i))),
+    and P ~ 1 - Phi(w) + phi(w) (1/u - 1/w), with w = sign(s) sqrt(2 (s x - K(s)))
+    and u = 2 sinh(s/2) sqrt(K''(s)).  Near s = 0, 1/u - 1/w takes its limit
+    -K'''(s)/(6 K''(s)^1.5).
+    """
+    # Not at module level, like changepoint_gamma's: only the changepoint search asks for it.
+    from scipy.optimize import brentq
+
+    span = int(np.gcd.reduce(ints))
+    q = ints[ints > 0] / span
+    t = -(-t // span)
+    if t <= 0:
+        return 1.0
+    if t > q.sum():
+        return 0.0
+    if p_plus in (0.0, 1.0):
+        return p_plus
+    if t == q.sum():  # every sign positive: exact, where the approximation is poorest
+        return math.exp(q.size * math.log(p_plus))
+    x, logit = t - 0.5, math.log(p_plus) - math.log1p(-p_plus)
+
+    def k1(s: float) -> float:
+        return float(q @ expit(s * q + logit))
+
+    lo, hi = -1.0, 1.0
+    while k1(lo) > x:
+        lo *= 2.0
+    while k1(hi) < x:
+        hi *= 2.0
+    s = brentq(lambda v: k1(v) - x, lo, hi, xtol=1e-15)
+    shift = s * q
+    pi, rest = expit(shift + logit), expit(-shift - logit)
+    # s x - K(s) as a sum of nonnegative terms (Bernoulli divergences), which keeps
+    # its precision near s = 0; each term of K is safe from overflow.
+    log_mgf = np.where(shift > 1.0, np.logaddexp(math.log1p(-p_plus), math.log(p_plus) + shift),
+                       np.log1p(p_plus * np.expm1(np.minimum(shift, 1.0))))
+    w = math.copysign(math.sqrt(2.0 * max(float((pi * shift - log_mgf).sum()), 0.0)), s)
+    k2 = float(np.square(q) @ (pi * rest))
+    if abs(w) < 1e-4:  # 1/u - 1/w cancels here
+        gap = -float((q**3) @ (pi * rest * (rest - pi))) / k2**1.5 / 6.0
+    else:
+        gap = 1.0 / (2.0 * math.sinh(s / 2.0) * math.sqrt(k2)) - 1.0 / w
+    p = float(ndtr(-w)) + math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * gap
+    return min(max(p, 0.0), 1.0)
+
+
+def _tail_pvalue(
+    q_active: np.ndarray, t_obs: float, p_plus: float, greater: bool, approx: bool = False
+) -> tuple[float, str]:
     """One tail of the null distribution of the positive-sign score sum.
 
     Routes: exact DP over integer-scaled scores, building only the tail
     (`_null_pmf`), exhaustive enumeration for n <= ENUM_MAX_N (O(2**n)
     memory), else a normal approximation without continuity correction.
+    With approx, the DP route gives `_saddlepoint_tail` instead (the less
+    tail is the greater tail of total - T at 1 - p_plus); the other routes
+    are unchanged.
     """
     n = q_active.size
     scaled = _integer_scaled(q_active)
@@ -202,9 +274,13 @@ def _tail_pvalue(q_active: np.ndarray, t_obs: float, p_plus: float, greater: boo
         ints, scale = scaled
         if greater:
             k = int(np.ceil(t_obs * scale - 1e-9))
+            if approx:
+                return _saddlepoint_tail(ints, k, p_plus), "saddlepoint"
             p = float(_null_pmf(ints, p_plus, lo=max(k, 0)).sum())
         else:
             k = int(np.floor(t_obs * scale + 1e-9))
+            if approx:
+                return _saddlepoint_tail(ints, int(ints.sum()) - k, 1.0 - p_plus), "saddlepoint"
             p = float(_null_pmf(ints, p_plus, hi=k).sum()) if k >= 0 else 0.0
         return min(p, 1.0), "dp"
     if n <= ENUM_MAX_N:
@@ -233,13 +309,14 @@ def _signscore_pvalue(
     p_greater_tail: float,
     p_less_tail: float,
     sided: str,
+    approx: bool = False,
 ) -> tuple[float, float, str, int]:
     """Shared p-value engine.
 
     p_greater_tail / p_less_tail are the sign probabilities used for the
     upper and lower tails (they differ only under a sensitivity tilt; both
-    are 0.5 for the randomization test).  Returns (statistic, p, route,
-    n_effective).
+    are 0.5 for the randomization test).  approx passes to `_tail_pvalue`.
+    Returns (statistic, p, route, n_effective).
     """
     shifted = d - tau0
     q = score.scores(np.abs(shifted))
@@ -250,7 +327,7 @@ def _signscore_pvalue(
     routes = []
 
     def tail(p_plus: float, greater: bool) -> float:
-        p, route = _tail_pvalue(q_active, t_obs, p_plus, greater)
+        p, route = _tail_pvalue(q_active, t_obs, p_plus, greater, approx)
         routes.append(route)
         return p
 
@@ -284,6 +361,7 @@ def randomization_pvalue(
         (two-sided doubles the smaller tail and caps at 1).
     """
     score = score or ScoreFunction.wilcoxon()
+    _check_tau0(quads.d_values(), tau0)
     t_obs, p, route, n_eff = _signscore_pvalue(quads.d_values(), tau0, score, 0.5, 0.5, sided)
     return TestResult(
         statistic=t_obs,

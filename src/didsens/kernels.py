@@ -30,13 +30,16 @@ def signflip_pmf(scores, p_plus, lo=0, hi=None):
         return np.zeros(0)
     pmf = np.zeros(cap + 1, dtype=np.float64)
     pmf[0] = 1.0
+    # One scratch buffer for every step's shifted term, instead of a fresh array per score.
+    shifted = np.empty(cap + 1, dtype=np.float64)
     top = 0
     for qi in q[q > 0].tolist():
         # new[t] = old[t] * (1 - p) + old[t - qi] * p, for the t that can still reach lo
         live = max(lo - remaining, 0)
         remaining -= qi
         old_top, top = top, min(top + qi, cap)
-        shifted = pmf[live : max(top - qi + 1, 0)] * p_plus
+        src = pmf[live : max(top - qi + 1, 0)]
+        np.multiply(src, p_plus, out=shifted[: src.size])
         pmf[max(lo - remaining, 0) : old_top + 1] *= 1.0 - p_plus
-        pmf[live + qi : top + 1] += shifted
+        pmf[live + qi : top + 1] += shifted[: src.size]
     return pmf[lo:]

@@ -26,6 +26,7 @@ from .inference import (
     ScoreFunction,
     TestResult,
     _bisect,
+    _check_tau0,
     _sided_pvalue,
     _signscore_pvalue,
 )
@@ -124,10 +125,10 @@ def paired_gamma_from(lam: float, delta: float) -> float:
 
 
 def _check_amplification(gamma: float, lam: float) -> None:
-    """Both caps at least 1, and lam > gamma unless gamma = 1."""
-    if gamma < 1:
+    """Both caps at least 1 (NaN is not), and lam > gamma unless gamma = 1."""
+    if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
-    if lam < 1:
+    if not lam >= 1:
         raise ValueError("lam must be >= 1")
     if gamma != 1.0 and lam <= gamma:
         raise ValueError(
@@ -177,6 +178,7 @@ def worst_case_pvalue(
     """
     p_greater_tail, p_less_tail = _tilt(gamma, direction)
     score = score or ScoreFunction.wilcoxon()
+    _check_tau0(quads.d_values(), tau0)
     t_obs, p, route, n_eff = _signscore_pvalue(
         quads.d_values(), tau0, score, p_greater_tail, p_less_tail, sided
     )
@@ -210,7 +212,7 @@ def estimate_bounds(
         # gamma^2 / (1 + gamma^2) rounds to 1 above gamma ~ 1e8: both closed
         # forms have reached their limits, min d and max d.
         return (float(d.min()), float(d.max()))
-    tau_min, tau_max = score.estimate(d, p_hi), score.estimate(d, p_lo)
+    tau_min, tau_max = score.estimates(d, (p_hi, p_lo))
     # On all-equal d the two roots differ only by rounding, in either order.
     return (min(tau_min, tau_max), max(tau_min, tau_max))
 
@@ -287,6 +289,7 @@ def sate_pvalue(
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     _check_direction(direction)
+    _check_tau0(quads.d_values(), tau0)
     a = quads.d_values() - tau0
     if a.size < 2:
         raise DegenerateDataError("the studentized procedure needs at least 2 quadruples")
@@ -321,12 +324,16 @@ def upper_pvalues(
     The one place a test name picks its engine: sate runs `sate_pvalue`, the
     others `worst_case_pvalue` on the quadruples given, with `score_for(test)`
     or, for mcnemar, `ScoreFunction.mcnemar()`, which scores uninformative
-    quadruples 0.  Each gamma is computed once per curve.
+    quadruples 0.  Each gamma is computed once per curve.  The curve's
+    `approx(gamma)` is a float p-value that only steers `changepoint_gamma`:
+    the saddlepoint tail on the DP route, the curve's own value elsewhere.
     """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
     if test == "sate":
-        return functools.cache(lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided))
+        curve = functools.cache(lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided))
+        curve.approx = lambda gamma: curve(gamma).p_value
+        return curve
     score = score_for(test)
     if test == "mcnemar":
         if tau0 != 0.0:
@@ -334,48 +341,56 @@ def upper_pvalues(
         if quads.outcome_kind != "binary":
             raise StructuralError("test mcnemar requires outcome_kind='binary'")
         score = ScoreFunction.mcnemar()
-    return functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
+    curve = functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
+    d = quads.d_values()
+    curve.approx = functools.cache(
+        lambda gamma: _signscore_pvalue(d, tau0, score, *_tilt(gamma, "upper"), sided, approx=True)[1]
+    )
+    return curve
 
 
 def changepoint_gamma(pvalue: Callable[[float], TestResult], alpha: float = 0.05) -> float | None:
     """Largest gamma at which a worst-case p-value curve from `upper_pvalues` meets alpha.
 
-    Doubles gamma from 1 to bracket the crossing, then runs Brent's method on
-    sqrt(-2 log alpha) - sqrt(-2 log p), nearly linear in gamma; returns the
-    lower end of the tightest bracket this search probed, narrowed to
-    CHANGEPOINT_TOL by probing the root +/- tol/2, then bisecting.  The probes
-    do not depend on what the curve was asked before; its memo answers repeats.
-    None when the test fails at gamma = 1, inf when the bracket passes 1e6.
+    Finds the root on the curve's approximation `pvalue.approx`: doubles gamma
+    from 1 to bracket it, then runs Brent's method on sqrt(-2 log alpha) -
+    sqrt(-2 log p), nearly linear in gamma.  Then certifies it on the exact
+    curve: probes a, b = root -/+ CHANGEPOINT_TOL/2 and returns a when p(a) <=
+    alpha < p(b).  Otherwise it steps outward from the failing end with exact
+    probes, doubling the step, until they bracket alpha, and bisects that
+    bracket to CHANGEPOINT_TOL.  The probes do not depend on what the curve was
+    asked before; its memo answers repeats.  None when the exact test fails at
+    gamma = 1, inf when an exact probe past 1e6 still meets alpha.
     """
     # Not at module level: that reorders the package's imports and adds 0.4 MB to forked processes.
     from scipy.optimize import brentq
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    probed: dict[float, float] = {}
 
     def p(gamma: float) -> float:
-        probed[gamma] = pvalue(gamma).p_value
-        return probed[gamma]
-
-    def tightest() -> tuple[float, float]:
-        lo = max(g for g, v in probed.items() if v <= alpha)
-        return lo, min(g for g, v in probed.items() if v > alpha and g > lo)
+        return pvalue(gamma).p_value
 
     if p(1.0) > alpha:
         return None
-    lo, hi = 1.0, 2.0
-    while p(hi) <= alpha:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            return math.inf
     target = math.sqrt(-2.0 * math.log(alpha))
-    root = brentq(lambda g: target - math.sqrt(-2.0 * math.log(max(p(g), math.ulp(0.0)))),
-                  lo, hi, xtol=CHANGEPOINT_TOL / 4)
-    lo, hi = tightest()
-    if hi - lo > CHANGEPOINT_TOL:
-        for g in (root - CHANGEPOINT_TOL / 2, root + CHANGEPOINT_TOL / 2):
-            if lo < g < hi:
-                p(g)
-        lo, hi = tightest()
-    return _bisect(lambda g: p(g) > alpha, lo, hi, CHANGEPOINT_TOL)[0]
+
+    def gap(gamma: float) -> float:
+        # <= 0 exactly where the approximation meets alpha
+        return target - math.sqrt(-2.0 * math.log(max(pvalue.approx(gamma), math.ulp(0.0))))
+
+    lo, hi = 1.0, 2.0
+    while hi <= 1e6 and gap(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    # No crossing below 1e6, or one below gamma = 1, puts the root at that end.
+    root = hi if hi > 1e6 else lo if gap(lo) > 0.0 else brentq(gap, lo, hi, xtol=CHANGEPOINT_TOL / 4)
+    a = max(root - CHANGEPOINT_TOL / 2, 1.0)
+    b, step = a + CHANGEPOINT_TOL, CHANGEPOINT_TOL
+    while p(a) > alpha:  # the crossing lies below a
+        a, b, step = max(a - step, 1.0), a, 2.0 * step
+    while p(b) <= alpha:  # the crossing lies above b
+        if b > 1e6:
+            return math.inf
+        a, b, step = b, b + step, 2.0 * step
+    if step == CHANGEPOINT_TOL:  # certified on the first try
+        return a
+    return _bisect(lambda g: p(g) > alpha, a, b, CHANGEPOINT_TOL)[0]

@@ -233,6 +233,18 @@ def test_amplify_command_values(tmp_path, capsys):
     assert "asymptote" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gamma, lambdas, message",
+    [("nan", "3", "--gamma must be finite, got nan"), ("inf", "3", "--gamma must be finite, got inf"),
+     ("2", "3,nan", "--lambdas must be finite, got nan")],
+)
+def test_amplify_refuses_non_finite_values_by_name(tmp_path, capsys, gamma, lambdas, message):
+    json_path = tmp_path / "amp.json"
+    assert cli.main(["amplify", "--gamma", gamma, "--lambdas", lambdas, "--json", str(json_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not json_path.exists()
+
+
 def test_exit_2_on_missing_column(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_dataset(data)
@@ -331,6 +343,9 @@ BAD_SETTINGS = [
          "simulate", 2, f"simulate.design {kind} does not take simulate.plan.test {test}")
         for kind, test in (("binary", "signed_rank"), ("binary", "sate"), ("continuous", "mcnemar"))
     ],
+    # finite, but the sum of squares of d - tau0 overflows float64
+    *[({"tau0": 1e200, "test": test}, verb, 2, "tau0 = 1e+200 is too far from the contrasts")
+      for test in ("sate", "permutational_t", "signed_rank") for verb in ("test", "sens")],
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import norm
 
 from didsens import inference, kernels
-from didsens.inference import ScoreFunction, _bisect, hodges_lehmann, randomization_pvalue
+from didsens.inference import SIDES, ScoreFunction, _bisect, hodges_lehmann, randomization_pvalue
 from didsens.oracles import brute_force_bound
 from didsens.sensitivity import (
     CHANGEPOINT_TOL,
@@ -383,10 +383,8 @@ def test_changepoint_when_the_untilted_pvalue_underflows():
     assert _brackets_alpha(quads, "signed_rank", 0.05, "one_sided_greater", gamma)
 
 
-def test_sens_grid_and_changepoint_stay_within_a_dp_budget(monkeypatch):
-    # n = 200 without ties: 5 grid DPs, then 5 more for the changepoint on the
-    # grid's curve, which answers gamma = 1 and 2 from its memo
-    quads = quadset_from_d(np.random.default_rng(0).normal(0.3, 1.0, 200).tolist())
+def _counted_kernel(monkeypatch) -> list:
+    """Record the sign probability of every sign-flip DP from here on, with an empty memo."""
     calls = []
     kernel = kernels.signflip_pmf
 
@@ -396,10 +394,70 @@ def test_sens_grid_and_changepoint_stay_within_a_dp_budget(monkeypatch):
 
     monkeypatch.setattr(inference, "_last_pmf", None)
     monkeypatch.setattr(kernels, "signflip_pmf", counted)
+    return calls
+
+
+def test_sens_grid_and_changepoint_stay_within_a_dp_budget(monkeypatch):
+    # n = 200 without ties: 5 grid DPs, then 2 more for the changepoint on the
+    # grid's curve, which answers gamma = 1 from its memo and certifies the
+    # saddlepoint root with one exact probe on each side
+    quads = quadset_from_d(np.random.default_rng(0).normal(0.3, 1.0, 200).tolist())
+    calls = _counted_kernel(monkeypatch)
     pvalue = upper_pvalues(quads, "signed_rank")
     for gamma in (1.0, 1.1, 1.25, 1.5, 2.0):
         pvalue(gamma)
     assert len(calls) == 5
     assert changepoint_gamma(pvalue, alpha=0.05) > 1.0
-    assert len(calls) == 10
+    assert len(calls) == 7
     assert len(set(calls)) == len(calls)
+
+
+def test_changepoint_on_a_fresh_curve_at_n_1000_takes_at_most_4_dps(monkeypatch):
+    # p(1) decides None, then one exact probe on each side of the saddlepoint root
+    quads = quadset_from_d(np.random.default_rng(1).normal(0.3, 1.0, 1000).tolist())
+    calls = _counted_kernel(monkeypatch)
+    gamma = changepoint_gamma(upper_pvalues(quads, "signed_rank"), alpha=0.05)
+    assert len(calls) <= 4
+    assert _brackets_alpha(quads, "signed_rank", 0.05, "one_sided_greater", gamma)
+
+
+# Largest relative error of the saddlepoint p-value against the exact DP, per n;
+# each is about 2.5x the largest seen on these seeded contrasts.
+SADDLEPOINT_RTOL = {30: 2e-3, 100: 3e-4, 450: 7e-5}
+
+
+@pytest.mark.parametrize("sided", SIDES)
+@pytest.mark.parametrize("n", sorted(SADDLEPOINT_RTOL))
+def test_saddlepoint_approximation_tracks_the_exact_dp(n, sided):
+    quads = quadset_from_d(np.random.default_rng(n).normal(0.3, 1.0, n).tolist())
+    curve = upper_pvalues(quads, "signed_rank", sided=sided)
+    for gamma in (1.0, 1.25, 1.5):
+        assert curve.approx(gamma) == pytest.approx(curve(gamma).p_value, rel=SADDLEPOINT_RTOL[n])
+
+
+def test_saddlepoint_tail_is_exact_at_the_ends_of_the_support():
+    ints = np.arange(1, 11)
+    for p in (0.0, 0.3, 0.5, 1.0):
+        assert inference._saddlepoint_tail(ints, 0, p) == 1.0
+        assert inference._saddlepoint_tail(ints, 56, p) == 0.0
+        assert inference._saddlepoint_tail(ints, 55, p) == pytest.approx(p**10, rel=1e-12)
+    # a lattice of span 2 is read in its own units: T >= 3 is T >= 4
+    assert inference._saddlepoint_tail(2 * ints, 3, 0.4) == inference._saddlepoint_tail(2 * ints, 4, 0.4)
+
+
+@pytest.mark.parametrize("shift", ["earlier", "later", "never_significant", "always_significant"])
+@pytest.mark.parametrize("test", ["signed_rank", "sate"])
+def test_changepoint_falls_back_when_the_approximation_misleads(monkeypatch, test, shift):
+    quads = _changepoint_case(test, ties=False, seed=41)
+    curve = upper_pvalues(quads, test)
+    honest = curve.approx
+    misleading = {
+        "earlier": lambda g: honest(g + 0.05),
+        "later": lambda g: honest(max(g - 0.05, 1.0)),
+        "never_significant": lambda g: 1.0,
+        "always_significant": lambda g: 0.0,
+    }[shift]
+    monkeypatch.setattr(curve, "approx", misleading)
+    gamma = changepoint_gamma(curve, alpha=0.05)
+    assert _brackets_alpha(quads, test, 0.05, "one_sided_greater", gamma)
+    assert abs(gamma - _reference_changepoint(quads, test, 0.05, "one_sided_greater")) < CHANGEPOINT_TOL
