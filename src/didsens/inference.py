@@ -169,7 +169,12 @@ def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
 
 
 def _check_tau0(d: np.ndarray, tau0: float) -> None:
-    """Refuse, by name, a tau0 that puts the sum of squares of d - tau0 (the analyses form it) past float64."""
+    """Refuse, by name, a tau0 that puts the sum of squares of d - tau0 (the analyses form it) past float64.
+
+    tau0 = 0 passes at once: a QuadrupleSet already bounds the sum of squares of d.
+    """
+    if tau0 == 0.0:
+        return
     with np.errstate(over="ignore"):
         a = d - tau0
         if math.isfinite(float(a @ a)):
