@@ -168,16 +168,10 @@ def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
     return None
 
 
-def _check_tau0(d: np.ndarray, tau0: float) -> None:
-    """Refuse, by name, a tau0 that puts the sum of squares of d - tau0 (the analyses form it) past float64.
-
-    tau0 = 0 passes at once: a QuadrupleSet already bounds the sum of squares of d.
-    """
-    if tau0 == 0.0:
-        return
+def _check_tau0(shifted: np.ndarray, tau0: float) -> None:
+    """Refuse, by name, a tau0 that puts the sum of squares of shifted = d - tau0 past float64."""
     with np.errstate(over="ignore"):
-        a = d - tau0
-        if math.isfinite(float(a @ a)):
+        if math.isfinite(float(shifted @ shifted)):
             return
     raise ValueError(f"tau0 = {tau0!r} is too far from the contrasts: "
                      "the sum of squares of d - tau0 overflows float64")
@@ -366,7 +360,7 @@ def randomization_pvalue(
         (two-sided doubles the smaller tail and caps at 1).
     """
     score = score or ScoreFunction.wilcoxon()
-    _check_tau0(quads.d_values(), tau0)
+    _check_tau0(quads.d_values() - tau0, tau0)
     t_obs, p, route, n_eff = _signscore_pvalue(quads.d_values(), tau0, score, 0.5, 0.5, sided)
     return TestResult(
         statistic=t_obs,

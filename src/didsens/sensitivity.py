@@ -178,7 +178,7 @@ def worst_case_pvalue(
     """
     p_greater_tail, p_less_tail = _tilt(gamma, direction)
     score = score or ScoreFunction.wilcoxon()
-    _check_tau0(quads.d_values(), tau0)
+    _check_tau0(quads.d_values() - tau0, tau0)
     t_obs, p, route, n_eff = _signscore_pvalue(
         quads.d_values(), tau0, score, p_greater_tail, p_less_tail, sided
     )
@@ -289,8 +289,8 @@ def sate_pvalue(
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     _check_direction(direction)
-    _check_tau0(quads.d_values(), tau0)
     a = quads.d_values() - tau0
+    _check_tau0(a, tau0)
     if a.size < 2:
         raise DegenerateDataError("the studentized procedure needs at least 2 quadruples")
     g2 = gamma * gamma
@@ -326,7 +326,8 @@ def upper_pvalues(
     or, for mcnemar, `ScoreFunction.mcnemar()`, which scores uninformative
     quadruples 0.  Each gamma is computed once per curve.  The curve's
     `approx(gamma)` is a float p-value that only steers `changepoint_gamma`:
-    the saddlepoint tail on the DP route, the curve's own value elsewhere.
+    the saddlepoint tail on the DP route, elsewhere the curve's own value
+    from the same memo.
     """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
@@ -343,9 +344,15 @@ def upper_pvalues(
         score = ScoreFunction.mcnemar()
     curve = functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
     d = quads.d_values()
-    curve.approx = functools.cache(
+    saddlepoint = functools.cache(
         lambda gamma: _signscore_pvalue(d, tau0, score, *_tilt(gamma, "upper"), sided, approx=True)[1]
     )
+
+    def approx(gamma: float) -> float:
+        # The route does not depend on gamma; off the DP route the curve's own memo answers.
+        return saddlepoint(gamma) if curve(1.0).method.split(":")[1] == "dp" else curve(gamma).p_value
+
+    curve.approx = approx
     return curve
 
 

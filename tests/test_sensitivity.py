@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from didsens import inference, kernels
+from didsens import inference, kernels, sensitivity
 from didsens.inference import SIDES, ScoreFunction, _bisect, hodges_lehmann, randomization_pvalue
 from didsens.oracles import brute_force_bound
 from didsens.sensitivity import (
@@ -419,6 +419,25 @@ def test_changepoint_on_a_fresh_curve_at_n_1000_takes_at_most_4_dps(monkeypatch)
     gamma = changepoint_gamma(upper_pvalues(quads, "signed_rank"), alpha=0.05)
     assert len(calls) <= 4
     assert _brackets_alpha(quads, "signed_rank", 0.05, "one_sided_greater", gamma)
+
+
+def test_approximation_off_the_dp_route_reads_the_curve_memo(monkeypatch):
+    # permutational t on 12 irrational contrasts enumerates all 2^12 sign vectors
+    quads = quadset_from_d(np.random.default_rng(5).normal(1.0, 1.0, 12).tolist())
+    tilts = []
+    engine = sensitivity._signscore_pvalue
+
+    def counted(d, tau0, score, p_greater_tail, p_less_tail, *args, **kwargs):
+        tilts.append(p_greater_tail)
+        return engine(d, tau0, score, p_greater_tail, p_less_tail, *args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "_signscore_pvalue", counted)
+    curve = upper_pvalues(quads, "permutational_t")
+    assert curve(1.0).method.startswith("absolute_value:enumeration:")
+    gamma = changepoint_gamma(curve, alpha=0.05)
+    assert 1.0 < gamma < math.inf
+    assert curve.approx(gamma) == curve(gamma).p_value
+    assert len(tilts) == len(set(tilts))
 
 
 # Largest relative error of the saddlepoint p-value against the exact DP, per n;

@@ -2,15 +2,14 @@
 
     python tools/paired_bench.py PARENT CHANGE --label LABEL \\
         --workload study_rank=961-970 [--workload mc_null=951,952 ...] \\
-        [--claim study_rank[:pipeline_s]] [--seconds 30] \\
-        [--traced-seed 985 [--traced-metrics a,b,...]] [--out BENCH_LABEL.json]
+        [--claim study_rank] [--traced-seed 985] [--out BENCH_LABEL.json]
 
 Exports both revisions with `git archive` and runs `perfbench/run.py
---workload W --seed S --seconds X --trace 0` in each: one parent and one
+--workload W --seed S --seconds 30 --trace 0` in each: one parent and one
 change run per seed, one after the other, parent first on a workload's
 first seed and then alternating.  Every run must pass as in
 `tools/hand_in_check.py`.  With --traced-seed, each workload then gets one
-`--trace 1` run per side, parent first.
+`--trace 1` run per side, parent first, and every metric it reports is kept.
 
 Writes the `label`, `parent_sha`, `change_sha`, `host`, `command`, `pairs`,
 `paired`, `claim` and `traced` blocks of BENCH_<label>.json in the layout
@@ -18,8 +17,9 @@ of the repository's BENCH files; blocks already in the file that are not
 among these keep their content.  `paired` gives, per workload and
 end-to-end metric of the change's BENCHMARK.json, the median and quartiles
 of each side, the pairs in which the change is better and every run.  A
-claim is met when the change is better in at least 9 of 10 pairs and its
-median beats the parent's by more than the parent's interquartile range.
+claim is on `pipeline_s` and is met when the change is better in at least
+9 of 10 pairs and its median beats the parent's by more than the parent's
+interquartile range.
 """
 
 import argparse
@@ -36,6 +36,9 @@ import scipy
 from hand_in_check import REPO, commit_sha, export, result_of, run_perfbench
 
 SIDES = ("parent", "change")
+# Run length of every perfbench run, as in the repository's BENCH files.
+SECONDS = 30
+CLAIM_METRIC = "pipeline_s"
 
 
 def _seeds(text: str) -> list[int]:
@@ -85,9 +88,9 @@ def _claim(block: dict, workload: str, metric: str, unit: str, lower_is_better: 
     }
 
 
-def _run(tree: str, side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _run(tree: str, side: str, workload: str, seed: int, trace: int) -> dict:
     print(f"{side} {workload} seed {seed} --trace {trace}", file=sys.stderr, flush=True)
-    result, problem = result_of(run_perfbench(tree, workload, seed, seconds, trace))
+    result, problem = result_of(run_perfbench(tree, workload, seed, SECONDS, trace))
     if problem:
         raise SystemExit(f"{side} {workload} seed {seed} --trace {trace} failed: {problem}")
     return result
@@ -99,18 +102,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change")
     parser.add_argument("--label", required=True)
     parser.add_argument("--workload", action="append", required=True, metavar="NAME=SEEDS")
-    parser.add_argument("--claim", metavar="WORKLOAD[:METRIC]")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--claim", metavar="WORKLOAD", help=f"claim a {CLAIM_METRIC} gain on this workload")
     parser.add_argument("--traced-seed", type=int)
-    parser.add_argument("--traced-metrics", help="comma-separated per-layer metrics to keep (default: all)")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
     plan = {name: _seeds(seeds) for name, seeds in (w.split("=", 1) for w in args.workload)}
-    claim_workload, _, claim_metric = (args.claim or "").partition(":")
-    claim_metric = claim_metric or "pipeline_s"
-    if args.claim and claim_workload not in plan:
-        raise SystemExit(f"--claim names {claim_workload!r}, which no --workload runs")
+    if args.claim and args.claim not in plan:
+        raise SystemExit(f"--claim names {args.claim!r}, which no --workload runs")
     shas = {"parent": commit_sha(args.parent), "change": commit_sha(args.change)}
     for side, revision in (("parent", args.parent), ("change", args.change)):
         if shas[side] is None:
@@ -124,8 +123,6 @@ def main(argv: list[str]) -> int:
                 raise SystemExit(f"git archive {shas[side]} failed: {error}")
         metrics = json.loads((Path(change_tree) / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
         lower = {m["name"]: m["better"] == "lower" for m in metrics}
-        if args.claim and claim_metric not in lower:
-            raise SystemExit(f"--claim metric {claim_metric!r} is not one of {sorted(lower)}")
         paired = {}
         for workload, seeds in plan.items():
             runs = {side: [] for side in SIDES}
@@ -134,7 +131,7 @@ def main(argv: list[str]) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 first_side[str(seed)] = order[0]
                 for side in order:
-                    runs[side].append(_run(trees[side], side, workload, seed, args.seconds, 0))
+                    runs[side].append(_run(trees[side], side, workload, seed, 0))
             block = {"seeds": seeds, "first_side": first_side}
             for name in lower:
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
@@ -145,10 +142,9 @@ def main(argv: list[str]) -> int:
             paired[workload] = block
         traced = None
         if args.traced_seed is not None:
-            keep = set(args.traced_metrics.split(",")) if args.traced_metrics else None
             traced = {
                 "command": f"python3 perfbench/run.py --workload W --seed {args.traced_seed} "
-                           f"--seconds {args.seconds:g} --trace 1",
+                           f"--seconds {SECONDS} --trace 1",
                 "note": "one traced run per side, parent first; each value is perfbench's per-layer "
                         "metric over the traced passes of that run",
                 "runs": {},
@@ -156,9 +152,8 @@ def main(argv: list[str]) -> int:
             for workload in plan:
                 sides = {}
                 for side in SIDES:
-                    result = _run(trees[side], side, workload, args.traced_seed, args.seconds, 1)
-                    values = {n: _rounded(m["value"]) for n, m in result["metrics"].items()
-                              if keep is None or n in keep}
+                    result = _run(trees[side], side, workload, args.traced_seed, 1)
+                    values = {n: _rounded(m["value"]) for n, m in result["metrics"].items()}
                     sides[side] = {**values, "correct": result["correct"], "attempted": result["attempted"],
                                    "failed": result["failed"]}
                 traced["runs"][workload] = sides
@@ -171,7 +166,7 @@ def main(argv: list[str]) -> int:
         "change_sha": shas["change"],
         "host": {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                  "numpy": np.__version__, "scipy": scipy.__version__},
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "pairs": "; ".join(f"{w} seeds {s[0]}-{s[-1]}" if s == list(range(s[0], s[-1] + 1))
                            else f"{w} seeds {','.join(map(str, s))}" for w, s in plan.items())
                  + "; one parent and one change run per seed, one after the other, parent first on "
@@ -179,7 +174,7 @@ def main(argv: list[str]) -> int:
         "paired": paired,
     })
     if args.claim:
-        bench["claim"] = _claim(paired, claim_workload, claim_metric, units[claim_metric], lower[claim_metric])
+        bench["claim"] = _claim(paired, args.claim, CLAIM_METRIC, units[CLAIM_METRIC], lower[CLAIM_METRIC])
     if traced is not None:
         bench["traced"] = traced
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
