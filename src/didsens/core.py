@@ -192,8 +192,9 @@ class QuadrupleSet:
         """The quadruples at rows (indices, a boolean mask or a slice), in that order.
 
         A slice or mask of this set's rows is checked already, and the subset
-        reads its ids from this set's when they are first read.  Indices go
-        through the constructor, which names a unit that a repeated row reuses.
+        reads its ids from this set's id source when they are first read; it
+        holds no reference to this set.  Indices go through the constructor,
+        which names a unit that a repeated row reuses.
         """
         index = rows if isinstance(rows, slice) else np.asarray(rows)
         if not isinstance(index, slice) and (index.ndim != 1 or index.dtype.kind != "b"):
@@ -201,8 +202,9 @@ class QuadrupleSet:
         y, d = self.outcomes[index], self.d[index]
         y.flags.writeable = False
         d.flags.writeable = False
-        quads = QuadrupleSet.__new__(QuadrupleSet)
-        _set(quads, _ids=lambda: self.ids[index], outcomes=y, outcome_kind=self.outcome_kind, d=d)
+        quads, source = QuadrupleSet.__new__(QuadrupleSet), self._ids
+        _set(quads, _ids=lambda: (source() if callable(source) else source)[index], outcomes=y,
+             outcome_kind=self.outcome_kind, d=d)
         return quads
 
 

@@ -30,13 +30,15 @@ CI_TOL = 1e-6
 
 
 def average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-d array; ties share their mean rank, a multiple of 0.5."""
-    order = np.argsort(a, kind="stable")
-    s = np.asarray(a)[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    counts = np.diff(starts, append=s.size)
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat(starts + 0.5 * (counts + 1), counts)
+    """1-based ranks along the last axis; ties share their mean rank, a multiple of 0.5."""
+    order = np.argsort(a, axis=-1, kind="stable")
+    s = np.sort(a, axis=-1)
+    # Each run of equal values in a row, from its first to its last position.
+    starts, ends = np.ones(s.shape, dtype=bool), np.ones(s.shape, dtype=bool)
+    starts[..., 1:] = ends[..., :-1] = s[..., 1:] != s[..., :-1]
+    first, last = np.nonzero(starts)[-1], np.nonzero(ends)[-1]
+    ranks = np.empty(s.shape)
+    np.put_along_axis(ranks, order, np.repeat(1.0 + 0.5 * (first + last), last - first + 1).reshape(s.shape), axis=-1)
     return ranks
 
 
@@ -70,10 +72,8 @@ class ScoreFunction:
         if np.any(a < 0):
             raise ValueError("magnitudes must be nonnegative")
         if self.kind == "wilcoxon":
-            q = np.zeros_like(a)
-            nonzero = a > 0
-            q[nonzero] = average_ranks(a[nonzero])
-            return q
+            # Zeros rank below every nonzero magnitude; less their count, the rest rank among themselves.
+            return np.where(a > 0, average_ranks(a) - np.count_nonzero(a == 0, axis=-1, keepdims=True), 0.0)
         if self.kind == "absolute_value":
             return a.copy()
         if self.kind == "mcnemar":
@@ -142,30 +142,24 @@ class TestResult:
             raise ValueError(f"sided must be one of {SIDES}")
 
 
-def _sided_pvalue(greater, less, sided: str) -> float:
-    """Combine the two tails by the sided rule; each tail is a thunk.
-
-    Two-sided doubles the smaller tail and caps at 1.  The greater tail is
-    always evaluated first, so engines with a memo see one call order.
-    """
-    if sided not in SIDES:
-        raise ValueError(f"sided must be one of {SIDES}, got {sided!r}")
-    if sided == "one_sided_greater":
-        return greater()
-    if sided == "one_sided_less":
-        return less()
-    return min(1.0, 2.0 * min(greater(), less()))
-
-
-def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """Try to express the scores as small integers; returns (ints, scale)."""
-    for scale in _INT_SCALES:
-        x = q * scale
+def _integer_scaled(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scores as small integers along the last axis: (ints, scale), scale the first of
+    _INT_SCALES at which they are within 1e-8 of integers, or 0 (ints 0) where there is
+    none or their sum passes DP_MAX_TOTAL."""
+    ints, scale = np.zeros(q.shape, dtype=np.int64), np.zeros(q.shape[:-1], dtype=np.int64)
+    unfit = np.ones(q.shape[:-1], dtype=bool)
+    for s in _INT_SCALES:
+        if not unfit.any():
+            break
+        x = q * s
         r = np.round(x)
-        if np.max(np.abs(x - r)) <= 1e-8:
+        fits = unfit & (np.abs(x - r).max(axis=-1, initial=0.0) <= 1e-8)
+        if fits.any():
             # The sum is checked before the cast, which would overflow int64 on huge scores.
-            return (r.astype(np.int64), scale) if r.sum() <= DP_MAX_TOTAL else None
-    return None
+            small = fits & (r.sum(axis=-1) <= DP_MAX_TOTAL)
+            ints[small], scale[small] = r[small], s
+            unfit &= ~fits
+    return ints, scale
 
 
 def _check_tau0(shifted: np.ndarray, tau0: float) -> None:
@@ -256,88 +250,99 @@ def _saddlepoint_tail(ints: np.ndarray, t: int, p_plus: float) -> float:
 
 
 def _tail_pvalue(
-    q_active: np.ndarray, t_obs: float, p_plus: float, greater: bool, approx: bool = False
-) -> tuple[float, str]:
-    """One tail of the null distribution of the positive-sign score sum.
+    q: np.ndarray, t_obs: np.ndarray, p_plus: float, greater: bool, approx: bool = False
+) -> list[tuple[float, str]]:
+    """(p, route) of one tail of the positive-sign score sum's null distribution, per row.
 
-    Routes: exact DP over integer-scaled scores, building only the tail
-    (`_null_pmf`), exhaustive enumeration for n <= ENUM_MAX_N (O(2**n)
-    memory), else a normal approximation without continuity correction.
-    With approx, the DP route gives `_saddlepoint_tail` instead (the less
-    tail is the greater tail of total - T at 1 - p_plus); the other routes
-    are unchanged.
+    A row of q holds one set's scores (zeros carry no sign) and t_obs its
+    observed sum.  Routes: exact DP over integer-scaled scores, building
+    only the tail (`_null_pmf`); DP rows with one integer multiset share one
+    window, and each sums the same entries, with the same bits, as in its
+    own.  Else exhaustive enumeration for n <= ENUM_MAX_N (O(2**n) memory),
+    else a normal approximation without continuity correction.  With approx,
+    the DP route gives `_saddlepoint_tail` instead (the less tail is the
+    greater tail of total - T at 1 - p_plus).
     """
-    n = q_active.size
-    scaled = _integer_scaled(q_active)
-    if scaled is not None:
-        ints, scale = scaled
-        if greater:
-            k = int(np.ceil(t_obs * scale - 1e-9))
-            if approx:
-                return _saddlepoint_tail(ints, k, p_plus), "saddlepoint"
-            p = float(_null_pmf(ints, p_plus, lo=max(k, 0)).sum())
+    all_ints, scale = _integer_scaled(q)
+    k = (np.ceil(t_obs * scale - 1e-9) if greater else np.floor(t_obs * scale + 1e-9)).astype(np.int64)
+    out: list = [None] * len(q)
+    shared: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for i, (row, ints) in enumerate(zip(q, all_ints)):
+        ints, q_active = ints[ints > 0], None if scale[i] else row[row > 0]
+        if scale[i] and approx:
+            out[i] = (_saddlepoint_tail(ints, int(k[i]), p_plus) if greater
+                      else _saddlepoint_tail(ints, int(ints.sum() - k[i]), 1.0 - p_plus)), "saddlepoint"
+        elif scale[i]:
+            multiset = np.sort(ints)
+            shared.setdefault(multiset.tobytes(), (multiset, []))[1].append(i)
+        elif q_active.size <= ENUM_MAX_N:
+            # All 2**n subset sums and their probabilities, doubled one score at a time.
+            vals, probs = np.zeros(1), np.ones(1)
+            for qi in q_active:
+                vals = np.concatenate([vals, vals + qi])
+                probs = np.concatenate([probs * (1.0 - p_plus), probs * p_plus])
+            tail = vals >= t_obs[i] - 1e-9 if greater else vals <= t_obs[i] + 1e-9
+            out[i] = min(float(probs[tail].sum()), 1.0), "enumeration"
         else:
-            k = int(np.floor(t_obs * scale + 1e-9))
-            if approx:
-                return _saddlepoint_tail(ints, int(ints.sum()) - k, 1.0 - p_plus), "saddlepoint"
-            p = float(_null_pmf(ints, p_plus, hi=k).sum()) if k >= 0 else 0.0
-        return min(p, 1.0), "dp"
-    if n <= ENUM_MAX_N:
-        # All 2**n subset sums and their probabilities, doubled one score at a time.
-        vals, probs = np.zeros(1), np.ones(1)
-        for q in q_active:
-            vals = np.concatenate([vals, vals + q])
-            probs = np.concatenate([probs * (1.0 - p_plus), probs * p_plus])
+            mu = p_plus * q_active.sum()
+            sigma = np.sqrt(p_plus * (1.0 - p_plus) * np.square(q_active).sum())
+            z = (t_obs[i] - mu) / sigma
+            out[i] = float(ndtr(-z)) if greater else float(ndtr(z)), "normal"
+    for multiset, rows in shared.values():
         if greater:
-            p = float(probs[vals >= t_obs - 1e-9].sum())
+            lo = max(int(k[rows].min()), 0)
+            pmf = _null_pmf(multiset, p_plus, lo=lo)
+            for i in rows:
+                out[i] = min(float(pmf[max(k[i], 0) - lo :].sum()), 1.0), "dp"
         else:
-            p = float(probs[vals <= t_obs + 1e-9].sum())
-        return min(p, 1.0), "enumeration"
-    total = q_active.sum()
-    mu = p_plus * total
-    sigma = np.sqrt(p_plus * (1.0 - p_plus) * np.square(q_active).sum())
-    z = (t_obs - mu) / sigma
-    p = float(ndtr(-z)) if greater else float(ndtr(z))
-    return p, "normal"
+            hi = int(k[rows].max())
+            pmf = _null_pmf(multiset, p_plus, hi=hi) if hi >= 0 else None
+            for i in rows:
+                out[i] = min(float(pmf[: k[i] + 1].sum()), 1.0) if k[i] >= 0 else 0.0, "dp"
+    return out
 
 
 def _signscore_pvalue(
-    d: np.ndarray,
+    ds: list[np.ndarray],
     tau0: float,
     score: ScoreFunction,
     p_greater_tail: float,
     p_less_tail: float,
     sided: str,
     approx: bool = False,
-) -> tuple[float, float, str, int]:
-    """Shared p-value engine.
+) -> list[tuple[float, float, str, int]]:
+    """Shared p-value engine over a batch, ds holding each set's contrasts.
 
     p_greater_tail / p_less_tail are the sign probabilities used for the
     upper and lower tails (they differ only under a sensitivity tilt; both
-    are 0.5 for the randomization test).  approx passes to `_tail_pvalue`.
-    Returns (statistic, p, route, n_effective).
+    are 0.5 for the randomization test).  The contrasts, zero-padded to one
+    length, are scored in one call and each tail comes from one
+    `_tail_pvalue` call (approx passes to it), greater tails first.
+    Returns (statistic, p, route, n_effective) per set.
     """
-    shifted = d - tau0
+    if sided not in SIDES:
+        raise ValueError(f"sided must be one of {SIDES}, got {sided!r}")
+    shifted = np.zeros((len(ds), max((d.size for d in ds), default=0)))
+    for row, d in zip(shifted, ds):
+        row[: d.size] = d - tau0
     q = score.scores(np.abs(shifted))
-    t_obs = float(q[shifted > 0].sum())
-    q_active = q[q > 0]
-    if q_active.size == 0:
+    t_obs = np.array([float(row_q[row > 0].sum()) for row_q, row in zip(q, shifted)])
+    n_active = np.count_nonzero(q > 0, axis=-1)
+    if (n_active == 0).any():
         raise DegenerateDataError("all adjusted contrasts are zero; no sign information")
-    routes = []
 
-    def tail(p_plus: float, greater: bool) -> float:
-        p, route = _tail_pvalue(q_active, t_obs, p_plus, greater, approx)
-        routes.append(route)
-        return p
+    def tails(p_plus: float, greater: bool, rows=slice(None)) -> list[tuple[float, str]]:
+        return _tail_pvalue(q[rows], t_obs[rows], p_plus, greater, approx)
 
-    if sided == "two_sided" and p_less_tail <= p_greater_tail:
-        # Then less >= 1 - greater: a greater tail below 1/2, by more than
-        # rounding, is the smaller one, and the less tail is never built.
-        g = tail(p_greater_tail, True)
-        p = min(1.0, 2.0 * (g if g < 0.5 - 1e-9 else min(g, tail(p_less_tail, False))))
-    else:
-        p = _sided_pvalue(lambda: tail(p_greater_tail, True), lambda: tail(p_less_tail, False), sided)
-    return t_obs, p, routes[0], int(q_active.size)
+    found = tails(p_less_tail, False) if sided == "one_sided_less" else tails(p_greater_tail, True)
+    if sided == "two_sided":
+        # Two-sided doubles the smaller tail and caps at 1.  With p_less_tail <=
+        # p_greater_tail, less >= 1 - greater: a greater tail below 1/2, by more
+        # than rounding, is the smaller one, and the less tail is never built.
+        need = [i for i, (g, _) in enumerate(found) if p_less_tail > p_greater_tail or not g < 0.5 - 1e-9]
+        less = dict(zip(need, (p for p, _ in tails(p_less_tail, False, need)))) if need else {}
+        found = [(min(1.0, 2.0 * min(g, less.get(i, g))), route) for i, (g, route) in enumerate(found)]
+    return [(float(t), p, route, int(n)) for t, (p, route), n in zip(t_obs, found, n_active)]
 
 
 def randomization_pvalue(
@@ -361,7 +366,7 @@ def randomization_pvalue(
     """
     score = score or ScoreFunction.wilcoxon()
     _check_tau0(quads.d_values() - tau0, tau0)
-    t_obs, p, route, n_eff = _signscore_pvalue(quads.d_values(), tau0, score, 0.5, 0.5, sided)
+    t_obs, p, route, n_eff = _signscore_pvalue([quads.d_values()], tau0, score, 0.5, 0.5, sided)[0]
     return TestResult(
         statistic=t_obs,
         p_value=p,
@@ -414,7 +419,7 @@ def invert_ci(
     def p_two(tau: float) -> float:
         # A shift that zeroes every contrast is maximally compatible.
         try:
-            return _signscore_pvalue(d, tau, score, 0.5, 0.5, "two_sided")[1]
+            return _signscore_pvalue([d], tau, score, 0.5, 0.5, "two_sided")[0][1]
         except DegenerateDataError:
             return 1.0
 

@@ -155,7 +155,7 @@ def _rank_mahalanobis(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     if p == 0:
         return np.zeros((na, xb.shape[0]))
     pooled = np.vstack([xa, xb])
-    ranks = np.column_stack([average_ranks(pooled[:, j]) for j in range(p)])
+    ranks = np.ascontiguousarray(average_ranks(pooled.T).T)
     cov = np.atleast_2d(np.cov(ranks, rowvar=False))
     cov = cov + np.eye(p) * (1e-8 * max(np.trace(cov), 1.0))
     transform = np.linalg.cholesky(np.linalg.inv(cov))

@@ -27,7 +27,6 @@ from .inference import (
     TestResult,
     _bisect,
     _check_tau0,
-    _sided_pvalue,
     _signscore_pvalue,
 )
 
@@ -161,34 +160,34 @@ def amplify_paired(gamma: float, lam: float) -> float:
 
 
 def worst_case_pvalue(
-    quads: QuadrupleSet,
+    quads: QuadrupleSet | list[QuadrupleSet],
     tau0: float = 0.0,
     score: ScoreFunction | None = None,
     gamma: float = 1.0,
     direction: str = "upper",
     sided: str = "one_sided_greater",
-) -> TestResult:
+) -> TestResult | list[TestResult]:
     """Bound on the sign-score p-value when sign odds may reach gamma^2.
 
     direction="upper" gives the worst case (the reportable bound);
     "lower" the best case.  At gamma=1 both reduce to the randomization
     test, through the identical code path.  Two-sided upper bounds combine
     the two one-sided worst cases (conservative); two-sided lower bounds
-    are exact.
+    are exact.  Given a list of sets, a batch, it returns one result per
+    set from one engine call, each equal to that set's own result.
     """
     p_greater_tail, p_less_tail = _tilt(gamma, direction)
     score = score or ScoreFunction.wilcoxon()
-    _check_tau0(quads.d_values() - tau0, tau0)
-    t_obs, p, route, n_eff = _signscore_pvalue(
-        quads.d_values(), tau0, score, p_greater_tail, p_less_tail, sided
-    )
-    return TestResult(
-        statistic=t_obs,
-        p_value=p,
-        sided=sided,
-        method=f"{score.kind}:{route}:gamma={gamma:g}:{direction}",
-        n_effective=n_eff,
-    )
+    one = isinstance(quads, QuadrupleSet)
+    ds = [q.d_values() for q in ([quads] if one else quads)]
+    for d in ds:
+        _check_tau0(d - tau0, tau0)
+    results = [
+        TestResult(statistic=t_obs, p_value=p, sided=sided,
+                   method=f"{score.kind}:{route}:gamma={gamma:g}:{direction}", n_effective=n_eff)
+        for t_obs, p, route, n_eff in _signscore_pvalue(ds, tau0, score, p_greater_tail, p_less_tail, sided)
+    ]
+    return results[0] if one else results
 
 
 def estimate_bounds(
@@ -264,6 +263,10 @@ def _sate_upper_tail(a: np.ndarray, kappa: float, direction: str) -> float:
         # directions share one rounding path and collapse exactly
         dev = _deviate(float(a.sum()), float((a * a).sum()), int(a.size))
     else:
+        # A vertex's squares reach 4 a^2.  Where that could pass float64, a quarter of
+        # a has the same deviate, bit for bit: scaling by a power of two is exact.
+        if not math.isfinite(4.0 * float(a @ a)):
+            a = 0.25 * a
         lo = a - kappa * np.abs(a)
         hi = a + kappa * np.abs(a)
         dev = _extreme_deviate(lo, hi, minimize=(direction == "upper"))
@@ -295,9 +298,10 @@ def sate_pvalue(
         raise DegenerateDataError("the studentized procedure needs at least 2 quadruples")
     g2 = gamma * gamma
     kappa = (g2 - 1.0) / (g2 + 1.0)
-    p = _sided_pvalue(
-        lambda: _sate_upper_tail(a, kappa, direction), lambda: _sate_upper_tail(-a, kappa, direction), sided
-    )
+    if sided == "two_sided":  # the smaller tail doubled, capped at 1
+        p = min(1.0, 2.0 * min(_sate_upper_tail(a, kappa, direction), _sate_upper_tail(-a, kappa, direction)))
+    else:  # TestResult refuses any other sided
+        p = _sate_upper_tail(a if sided == "one_sided_greater" else -a, kappa, direction)
     statistic = float(a.mean() / (a.std(ddof=1) / math.sqrt(a.size))) if a.std(ddof=1) > 0 else 0.0
     return TestResult(
         statistic=statistic,
@@ -321,10 +325,11 @@ def upper_pvalues(
 ) -> Callable[[float], TestResult]:
     """Worst-case (upper) p-value of the named test, as a memoised function of gamma.
 
-    The one place a test name picks its engine: sate runs `sate_pvalue`, the
-    others `worst_case_pvalue` on the quadruples given, with `score_for(test)`
-    or, for mcnemar, `ScoreFunction.mcnemar()`, which scores uninformative
-    quadruples 0.  Each gamma is computed once per curve.  The curve's
+    The one place a test name picks its engine for one set: sate runs
+    `sate_pvalue`, the others `worst_case_pvalue` on the quadruples given,
+    with `score_for(test)` or, for mcnemar, `ScoreFunction.mcnemar()`, which
+    scores uninformative quadruples 0.  `level_power_study` makes the same
+    choice for its batch of sets.  Each gamma is computed once per curve.  The curve's
     `approx(gamma)` is a float p-value that only steers `changepoint_gamma`:
     the saddlepoint tail on the DP route, elsewhere the curve's own value
     from the same memo.
@@ -345,7 +350,7 @@ def upper_pvalues(
     curve = functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
     d = quads.d_values()
     saddlepoint = functools.cache(
-        lambda gamma: _signscore_pvalue(d, tau0, score, *_tilt(gamma, "upper"), sided, approx=True)[1]
+        lambda gamma: _signscore_pvalue([d], tau0, score, *_tilt(gamma, "upper"), sided, approx=True)[0][1]
     )
 
     def approx(gamma: float) -> float:

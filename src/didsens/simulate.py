@@ -29,7 +29,7 @@ from scipy.special import expit
 from .binary import eligible_quadruples
 from .core import QuadrupleSet
 from .errors import StructuralError
-from .inference import hodges_lehmann
+from .inference import ScoreFunction, TestResult, hodges_lehmann
 from .sensitivity import (
     SHARP_NULL_RULE,
     TESTS,
@@ -38,10 +38,13 @@ from .sensitivity import (
     outcome_takes_test,
     score_for,
     upper_pvalues,
+    worst_case_pvalue,
 )
 
 RESIDUALS = ("normal", "lognormal")
 U_DISTS = ("bernoulli", "uniform")
+# Replications per engine call in `level_power_study`: a batch shares its DPs, and its size bounds its memory.
+BATCH_REPS = 256
 
 
 @dataclass(frozen=True)
@@ -330,15 +333,17 @@ def _uninformative_row(plan: AnalysisPlan) -> dict:
     return row
 
 
-def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> dict:
-    if plan.test == "mcnemar":
-        quads = eligible_quadruples(quads)
-        if not quads:
-            return _uninformative_row(plan)
-        if plan.mcnemar_budget is not None:
-            quads = quads.subset(slice(plan.mcnemar_budget))
-    pvalue = upper_pvalues(quads, plan.test, plan.tau0, plan.sided)
-    res = pvalue(plan.gamma)
+def _replication_set(design, plan: AnalysisPlan, kind: str, seed: np.random.SeedSequence) -> QuadrupleSet:
+    """The set one replication analyses: its quadruples, or for McNemar the eligible ones within budget."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # outcomes that overflow fail the contrast check
+        units = generate_binary(design, rng) if kind == "binary" else generate_continuous(design, rng)
+    quads = quadruples_from_records(units, outcome_kind=kind)
+    return eligible_quadruples(quads).subset(slice(plan.mcnemar_budget)) if plan.test == "mcnemar" else quads
+
+
+def _analyze_one(quads: QuadrupleSet, res: TestResult, plan: AnalysisPlan, true_tau: float) -> dict:
+    """Row of one replication's analysed set, whose p-value at plan.gamma is res."""
     row = {"statistic": res.statistic, "p_value": res.p_value, "n_effective": res.n_effective}
     if plan.compute_hl:
         row["hl"] = hodges_lehmann(quads)
@@ -348,7 +353,7 @@ def _analyze_one(quads: QuadrupleSet, plan: AnalysisPlan, true_tau: float) -> di
         row["bound_upper"] = hi
         row["covered"] = int(lo - 1e-9 <= true_tau <= hi + 1e-9)
     if plan.compute_changepoint:
-        cp = changepoint_gamma(pvalue, plan.alpha)
+        cp = changepoint_gamma(upper_pvalues(quads, plan.test, plan.tau0, plan.sided), plan.alpha)
         row["changepoint"] = np.nan if cp is None else cp
     return row
 
@@ -362,8 +367,11 @@ def level_power_study(
     """Run `reps` generate-analyze replications with spawned seeds.
 
     Seeds are spawned per replication from the base seed, so results do
-    not depend on execution order and are reproducible bit for bit.  A
-    design and plan that break `outcome_takes_test` raise ValueError.
+    not depend on execution order and are reproducible bit for bit.  The
+    sign-score tests take the p-values of up to BATCH_REPS replications from
+    one `worst_case_pvalue` batch; sate, HL, estimate bounds and changepoints
+    go set by set.  A design and plan that break `outcome_takes_test` raise
+    ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -375,15 +383,20 @@ def level_power_study(
     true_tau = design.tau_logit if binary else design.tau
     children = np.random.SeedSequence(seed).spawn(reps)
     rows: list[dict] = []
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        with np.errstate(over="ignore", invalid="ignore"):  # outcomes that overflow fail the contrast check
-            units = generate_binary(design, rng) if binary else generate_continuous(design, rng)
-        quads = quadruples_from_records(units, outcome_kind=kind)
-        row = {"rep": r}
-        row.update(_analyze_one(quads, plan, true_tau))
-        row["reject"] = int(row["p_value"] <= plan.alpha)
-        rows.append(row)
+    for start in range(0, reps, BATCH_REPS):
+        sets = [_replication_set(design, plan, kind, child) for child in children[start : start + BATCH_REPS]]
+        informative = [quads for quads in sets if quads]  # only a McNemar set can be empty
+        if plan.test == "sate":
+            results = [upper_pvalues(quads, plan.test, plan.tau0, plan.sided)(plan.gamma) for quads in informative]
+        else:
+            score = ScoreFunction.mcnemar() if plan.test == "mcnemar" else score_for(plan.test)
+            results = worst_case_pvalue(informative, plan.tau0, score, plan.gamma, "upper", plan.sided)
+        results = iter(results)
+        for quads in sets:
+            row = {"rep": len(rows)}
+            row.update(_analyze_one(quads, next(results), plan, true_tau) if quads else _uninformative_row(plan))
+            row["reject"] = int(row["p_value"] <= plan.alpha)
+            rows.append(row)
     n = len(rows)
     rate = sum(r["reject"] for r in rows) / n
     summary = {

@@ -148,8 +148,8 @@ def test_mcnemar_is_the_sign_score_test_on_full_and_eligible_sets(sided):
     for gamma in (1.0, 1.25, 2.0):
         for direction in DIRECTIONS:
             got = mcnemar_sensitivity_pvalue(eligible, gamma, direction, sided)
-            t, p, route, n = _signscore_pvalue(
-                np.sign(eligible.d_values()), 0.0, ScoreFunction.absolute_value(), *_tilt(gamma, direction), sided
+            [(t, p, route, n)] = _signscore_pvalue(
+                [np.sign(eligible.d_values())], 0.0, ScoreFunction.absolute_value(), *_tilt(gamma, direction), sided
             )
             assert (got.statistic, got.p_value, got.method, got.n_effective) == (
                 t, p, f"mcnemar:{route}:gamma={gamma:g}:{direction}", n

@@ -47,6 +47,10 @@ def test_average_ranks_equal_scipy_rankdata():
         got, want = average_ranks(x), rankdata(x, method="average")
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    # along the last axis, each row is ranked on its own
+    stack = rng.integers(0, 4, (3, 2, 9))
+    assert np.array_equal(average_ranks(stack), rankdata(stack, method="average", axis=-1))
+    assert average_ranks(np.zeros((2, 0))).shape == (2, 0)
 
 
 def test_absolute_value_scores_are_magnitudes():
@@ -150,7 +154,7 @@ def test_enumeration_tails_equal_the_oracle(p_plus):
         t = float(q[rng.random(n) < 0.5].sum())
         dist = exact_null_distribution(q, p_plus)
         for greater, expect in ((True, dist.tail_geq(t)), (False, dist.tail_leq(t))):
-            got, route = inference._tail_pvalue(q, t, p_plus, greater)
+            [(got, route)] = inference._tail_pvalue(q[None], np.array([t]), p_plus, greater)
             assert route == "enumeration"
             assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -161,7 +165,7 @@ def test_enumeration_memory_at_the_largest_n():
     q = np.random.default_rng(3).uniform(0.1, 3.0, inference.ENUM_MAX_N) + 1e-7
     tracemalloc.start()
     try:
-        p, route = inference._tail_pvalue(q, float(q[::2].sum()), 0.5, True)
+        [(p, route)] = inference._tail_pvalue(q[None], np.array([q[::2].sum()]), 0.5, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,9 +328,9 @@ def test_two_sided_worst_case_equals_the_smaller_of_both_tails(route):
         gamma = float(rng.uniform(1.0, 3.0)) if rng.random() < 0.8 else 1.0
         p_lo, p_hi = one_param_bounds(gamma)
         q = score.scores(np.abs(d))
-        t_obs, q_active = float(q[d > 0].sum()), q[q > 0]
-        greater = inference._tail_pvalue(q_active, t_obs, p_hi, True)[0]
-        less = inference._tail_pvalue(q_active, t_obs, p_lo, False)[0]
+        t_obs, q_active = np.array([q[d > 0].sum()]), q[None, q > 0]
+        greater = inference._tail_pvalue(q_active, t_obs, p_hi, True)[0][0]
+        less = inference._tail_pvalue(q_active, t_obs, p_lo, False)[0][0]
         res = worst_case_pvalue(quadset_from_d(d.tolist()), score=score, gamma=gamma, sided="two_sided")
         assert res.method.split(":")[1] == route
         assert res.p_value == min(1.0, 2.0 * min(greater, less))

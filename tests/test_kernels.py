@@ -103,4 +103,4 @@ def test_tail_pvalues_equal_the_whole_pmf_sums(scores, p, t_obs, less_first):
         False: min(float(whole[: t_obs + 1].sum()), 1.0) if t_obs >= 0 else 0.0,
     }
     for greater in (not less_first, less_first):
-        assert inference._tail_pvalue(q, float(t_obs), p, greater) == (expected[greater], "dp")
+        assert inference._tail_pvalue(q[None], np.array([t_obs], dtype=float), p, greater) == [(expected[greater], "dp")]

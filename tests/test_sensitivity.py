@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from didsens import inference, kernels, sensitivity
+from didsens.binary import eligible_quadruples
 from didsens.inference import SIDES, ScoreFunction, _bisect, hodges_lehmann, randomization_pvalue
 from didsens.oracles import brute_force_bound
 from didsens.sensitivity import (
     CHANGEPOINT_TOL,
+    DIRECTIONS,
     TESTS,
     SignProbabilityBounds,
     _extreme_deviate,
@@ -278,6 +282,55 @@ def test_sate_monotone_and_validated():
         sate_pvalue(qs, gamma=0.9)
     with pytest.raises(ValueError):
         sate_pvalue(qs, sided="both")
+
+
+# One set's contrasts: small integers halved, so magnitudes tie and hit zero, or
+# times sqrt(2)/2, where permutational t leaves the DP for enumeration (n <= 20)
+# or the normal route.  For McNemar the integers pick 0/1 outcome patterns, 0 and 3
+# the informative ones.
+_ROWS = st.lists(
+    st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=26), st.booleans()), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=_ROWS,
+    score=st.sampled_from([ScoreFunction.wilcoxon(), ScoreFunction.absolute_value(), ScoreFunction.mcnemar()]),
+    tau0=st.sampled_from([0.0, 0.5]),
+    budget=st.sampled_from([None, 1, 4]),
+    gamma=st.sampled_from([1.0, 1.3]),
+    direction=st.sampled_from(DIRECTIONS),
+    sided=st.sampled_from(SIDES),
+)
+@example(  # permutational t on the normal route, the DP and enumeration in one batch
+    rows=[([k % 13 - 6 for k in range(25)], True), ([-2, 0, 1, 1, 3], False), ([1, -2, 4], True)],
+    score=ScoreFunction.absolute_value(), tau0=0.0, budget=None, gamma=1.3, direction="upper", sided="two_sided",
+)
+def test_a_batch_equals_its_sets_one_at_a_time(rows, score, tau0, budget, gamma, direction, sided):
+    if score.kind == "mcnemar":
+        tau0 = 0.0
+        patterns = [[tuple((k + 6) >> b & 1 for b in range(4)) for k in ks] for ks, _ in rows]
+        sets = [eligible_quadruples(binary_quadset(p)).subset(slice(budget)) for p in patterns]
+        sets = [quads for quads in sets if quads]
+    else:
+        sets = [quadset_from_d([k * (math.sqrt(0.5) if off_grid else 0.5) for k in ks]) for ks, off_grid in rows]
+        sets = [quads for quads in sets if np.any(quads.d_values() != tau0)]
+    assume(sets)
+    batch = worst_case_pvalue(sets, tau0, score, gamma, direction, sided)
+    alone = [worst_case_pvalue(quads, tau0, score, gamma, direction, sided) for quads in sets]
+    assert [repr((r.statistic, r.p_value, r.n_effective, r.method)) for r in batch] == [
+        repr((r.statistic, r.p_value, r.n_effective, r.method)) for r in alone
+    ]
+
+
+def test_sate_box_past_the_float64_limit_is_scaled_exactly():
+    # The contrasts' sum of squares fits float64, but at gamma = 2 their box's does not.
+    d = np.array([9e153, -9e153, 1e153])
+    for gamma, direction, sided in itertools.product((1.0, 2.0), DIRECTIONS, SIDES):
+        big = sate_pvalue(quadset_from_d(d.tolist()), gamma=gamma, direction=direction, sided=sided)
+        small = sate_pvalue(quadset_from_d((d * 2.0**-600).tolist()), gamma=gamma, direction=direction, sided=sided)
+        assert (big.statistic, big.p_value) == (small.statistic, small.p_value)
 
 
 def _studentized(w: np.ndarray) -> float:

@@ -4,10 +4,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from didsens import binary, simulate
-from didsens.binary import eligibility_report, eligible_quadruples
+from didsens.binary import eligibility_report, eligible_quadruples, mcnemar_sensitivity_pvalue
 from didsens.errors import StructuralError
+from didsens.inference import SIDES
 from didsens.sensitivity import TESTS, outcome_takes_test
 from didsens.simulate import (
     AnalysisPlan,
@@ -354,3 +357,38 @@ def test_replications_without_informative_quadruples_fill_every_column(flags):
         hls = np.array([row["hl"] for row in informative])
         assert res.summary["hl_mean"] == float(hls.mean())
         assert res.summary["hl_rmse"] == float(np.sqrt(np.mean(hls**2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from([None, 1, 2]),
+    gamma=st.sampled_from([1.0, 1.3]),
+    sided=st.sampled_from(SIDES),
+)
+def test_a_simulated_mcnemar_batch_equals_its_replications_one_at_a_time(seed, budget, gamma, sided):
+    # rare events: some replications have no informative quadruple, others more than the budget
+    design = BinaryDesign(n_quadruples=10, mu_mean=-1.5)
+    plan = AnalysisPlan(test="mcnemar", gamma=gamma, sided=sided, mcnemar_budget=budget)
+    rows = level_power_study(design, plan, reps=8, seed=seed).rows
+    for row, child in zip(rows, np.random.SeedSequence(seed).spawn(8), strict=True):
+        units = generate_binary(design, np.random.default_rng(child))
+        quads = eligible_quadruples(quadruples_from_records(units, "binary")).subset(slice(budget))
+        res = mcnemar_sensitivity_pvalue(quads, gamma, "upper", sided) if quads else None
+        want = (res.statistic, res.p_value, res.n_effective) if res else (math.nan, 1.0, 0)
+        assert repr((row["statistic"], row["p_value"], row["n_effective"])) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "design, plan",
+    [
+        (ContinuousDesign(30), AnalysisPlan(test="signed_rank", gamma=1.3, sided="two_sided", compute_hl=True)),
+        (BinaryDesign(10, mu_mean=-1.5), AnalysisPlan(test="mcnemar", mcnemar_budget=2, estimate_gamma=1.1)),
+        (ContinuousDesign(30), AnalysisPlan(test="sate", compute_changepoint=True)),
+    ],
+    ids=["signed_rank", "mcnemar", "sate"],
+)
+def test_rows_do_not_depend_on_the_batch_size(monkeypatch, design, plan):
+    whole = level_power_study(design, plan, reps=7, seed=4)
+    monkeypatch.setattr(simulate, "BATCH_REPS", 3)
+    assert repr(level_power_study(design, plan, reps=7, seed=4)) == repr(whole)

@@ -3,8 +3,10 @@
 perfbench/tracing.py times each layer by replacing module attributes of the
 package (for example `didsens.cli.read_quadruples_csv`).  A renamed or
 lazily imported function leaves its span with no call site, and its metrics
-then drop out of the benchmark result.  This test runs a small traced study
-and simulation in a fresh interpreter, as the benchmark does.
+then drop out of the benchmark result; a call that bypasses the patched
+attribute leaves the metric at 0.  This test runs a small traced study and
+simulation in a fresh interpreter, as the benchmark does, and checks which
+spans the simulation reaches.
 """
 
 import json
@@ -52,8 +54,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(didsens.cli.main(["simulate", "--config", str(sim)]))
 metrics = tracing.layer_metrics(tracer.spans, absent)
 expected = [name for name in tracing.METRIC_UNITS if not name.startswith("trace.")]
-print(json.dumps({"codes": codes, "absent": absent, "metrics": metrics, "expected": expected},
-                 allow_nan=False))
+by_id = {span["id"]: span for span in tracer.spans}
+
+
+def under_simulate(span):
+    parent = span["parent"]
+    while parent is not None and by_id[parent]["name"] != "cli.simulate":
+        parent = by_id[parent]["parent"]
+    return parent is not None
+
+
+simulate_spans = sorted({span["name"] for span in tracer.spans if under_simulate(span)})
+print(json.dumps({"codes": codes, "absent": absent, "metrics": metrics, "expected": expected,
+                  "simulate_spans": simulate_spans}, allow_nan=False))
 """
 
 
@@ -69,3 +82,7 @@ def test_every_traced_call_site_exists(tmp_path):
     assert out["codes"] == [0, 0, 0, 0]
     assert out["absent"] == []
     assert [name for name in out["expected"] if name not in out["metrics"]] == []
+    # A metric exists even when no call reaches its site: the simulation must reach these.
+    fired = {"simulate.generate", "simulate.quadruples_from_records", "binary.eligibility_report",
+             "sensitivity.worst_case_pvalue"}
+    assert fired <= set(out["simulate_spans"]), out["simulate_spans"]
