@@ -32,7 +32,7 @@ CI_TOL = 1e-6
 def average_ranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis; ties share their mean rank, a multiple of 0.5."""
     order = np.argsort(a, axis=-1, kind="stable")
-    s = np.sort(a, axis=-1)
+    s = np.take_along_axis(np.asarray(a), order, axis=-1)
     # Each run of equal values in a row, from its first to its last position.
     starts, ends = np.ones(s.shape, dtype=bool), np.ones(s.shape, dtype=bool)
     starts[..., 1:] = ends[..., :-1] = s[..., 1:] != s[..., :-1]

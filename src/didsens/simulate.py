@@ -44,7 +44,7 @@ from .sensitivity import (
 RESIDUALS = ("normal", "lognormal")
 U_DISTS = ("bernoulli", "uniform")
 # Replications per engine call in `level_power_study`: a batch shares its DPs, and its size bounds its memory.
-BATCH_REPS = 256
+BATCH_REPS = 32
 
 
 @dataclass(frozen=True)
