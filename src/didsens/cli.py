@@ -164,13 +164,18 @@ def _parse_covariates(section: dict) -> dict:
     return out
 
 
+# libyaml's safe loader, when PyYAML is built with it: the same constructor and resolver as
+# yaml.safe_load, so the same objects, parsed in C.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: str) -> AnalysisConfig:
     """Load and validate a YAML config file."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+        raw = yaml.load(p.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error: {exc}") from None
     if raw is None:

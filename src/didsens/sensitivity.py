@@ -322,6 +322,7 @@ def upper_pvalues(
     test: str,
     tau0: float = 0.0,
     sided: str = "one_sided_greater",
+    known: tuple[float, TestResult] | None = None,
 ) -> Callable[[float], TestResult]:
     """Worst-case (upper) p-value of the named test, as a memoised function of gamma.
 
@@ -329,15 +330,21 @@ def upper_pvalues(
     `sate_pvalue`, the others `worst_case_pvalue` on the quadruples given,
     with `score_for(test)` or, for mcnemar, `ScoreFunction.mcnemar()`, which
     scores uninformative quadruples 0.  `level_power_study` makes the same
-    choice for its batch of sets.  Each gamma is computed once per curve.  The curve's
-    `approx(gamma)` is a float p-value that only steers `changepoint_gamma`:
-    the saddlepoint tail on the DP route, elsewhere the curve's own value
-    from the same memo.
+    choice for its batch of sets.  Each gamma is computed once per curve;
+    known, a (gamma, result) pair that this curve would compute, such as a
+    batch's result for this set, answers its gamma without a computation.
+    The curve's `approx(gamma)` is a float p-value that only steers
+    `changepoint_gamma`: the saddlepoint tail on the DP route, elsewhere the
+    curve's own value from the same memo.
     """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
+
+    def memoised(engine: Callable[[float], TestResult]) -> Callable[[float], TestResult]:
+        return functools.cache(lambda gamma: known[1] if known is not None and gamma == known[0] else engine(gamma))
+
     if test == "sate":
-        curve = functools.cache(lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided))
+        curve = memoised(lambda gamma: sate_pvalue(quads, tau0, gamma, "upper", sided))
         curve.approx = lambda gamma: curve(gamma).p_value
         return curve
     score = score_for(test)
@@ -347,7 +354,7 @@ def upper_pvalues(
         if quads.outcome_kind != "binary":
             raise StructuralError("test mcnemar requires outcome_kind='binary'")
         score = ScoreFunction.mcnemar()
-    curve = functools.cache(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
+    curve = memoised(lambda gamma: worst_case_pvalue(quads, tau0, score, gamma, "upper", sided))
     d = quads.d_values()
     saddlepoint = functools.cache(
         lambda gamma: _signscore_pvalue([d], tau0, score, *_tilt(gamma, "upper"), sided, approx=True)[0][1]

@@ -45,6 +45,8 @@ RESIDUALS = ("normal", "lognormal")
 U_DISTS = ("bernoulli", "uniform")
 # Replications per engine call in `level_power_study`: a batch shares its DPs, and its size bounds its memory.
 BATCH_REPS = 32
+# Values in the (B, n, 2, 2) arrays of one generation chunk: the model's temporaries scale with it.
+CHUNK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -128,100 +130,103 @@ def _check_numbers(spec) -> None:
             raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def _replications(seed, draws) -> tuple[bool, list[np.ndarray]]:
+    """(one, stacked): whether seed is one seed rather than a list or tuple of them, and each
+    replication's arrays from `draws(rng)`, made in stream order, stacked on a leading axis."""
+    one = not isinstance(seed, (list, tuple))
+    per_rep = [draws(np.random.default_rng(s)) for s in ([seed] if one else seed)]
+    return one, [np.stack(arrays) for arrays in zip(*per_rep)]
 
 
-def _draw_u(rng: np.random.Generator, dist: str, shape) -> np.ndarray:
-    if dist == "bernoulli":
-        return rng.integers(0, 2, size=shape).astype(np.float64)
-    return rng.random(shape)
-
-
-def _draw_units(rng: np.random.Generator, design, mu_mean: float) -> tuple[np.ndarray, ...]:
-    """(mu, alpha, beta, b, u, du1, du2), the draws both generators open with, in stream order.
-
-    du1 and du2 are the within-pair differences of u in periods 1 and 2."""
+def _unit_draws(rng: np.random.Generator, design, mu_mean: float) -> list[np.ndarray]:
+    """mu, alpha, beta, the period-1 flip bits and u: the draws both generators open with, in stream order."""
     n = design.n_quadruples
-    mu = rng.normal(mu_mean, design.mu_sd, n)
-    alpha = rng.normal(0.0, design.alpha_sd, n)
-    beta = rng.normal(0.0, design.beta_sd, n)
-    b = 2 * rng.integers(0, 2, n) - 1
-    u = _draw_u(rng, design.u_dist, (n, 2, 2))
-    return mu, alpha, beta, b, u, u[:, 0, 0] - u[:, 0, 1], u[:, 1, 0] - u[:, 1, 1]
+    return [
+        rng.normal(mu_mean, design.mu_sd, n),
+        rng.normal(0.0, design.alpha_sd, n),
+        rng.normal(0.0, design.beta_sd, n),
+        rng.integers(0, 2, n),
+        rng.integers(0, 2, (n, 2, 2)).astype(np.float64) if design.u_dist == "bernoulli" else rng.random((n, 2, 2)),
+    ]
 
 
-def _draw_assignment(
-    rng: np.random.Generator, design, du1: np.ndarray, du2: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Period assignment contrasts (v1, v2), v2 tilted by the lambdas."""
+def _assignment(design, flips: np.ndarray, u: np.ndarray, assign_u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(b, du1, du2, z): the period-1 contrasts b = 2 flips - 1, u's within-pair differences in periods 1
+    and 2, and treatment indicators z by (..., quadruple, period, slot).
+
+    Slot 0 is treated in a period iff that period's contrast v is +1; v2 is tilted by the lambdas."""
+    b, du1, du2 = 2 * flips - 1, u[..., 0, 0] - u[..., 0, 1], u[..., 1, 0] - u[..., 1, 1]
     rho = expit(design.lambda2 * du2 + b * design.lambda1 * du1)
-    v2 = np.where(rng.random(du1.size) < rho, 1, -1)
-    return v2 * b, v2
-
-
-def _slot_z(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Treatment indicators by (quadruple, period, slot); slot 0 treated iff v=+1."""
-    v = np.stack([v1, v2], axis=1)
-    z = np.empty((v.shape[0], 2, 2), dtype=np.int64)
-    z[:, :, 0] = v == 1
-    z[:, :, 1] = v == -1
-    return z
+    v2 = np.where(assign_u < rho, 1, -1)
+    v = np.stack([v2 * b, v2], axis=-1)
+    return b, du1, du2, np.stack([v == 1, v == -1], axis=-1).astype(np.int64)
 
 
 def generate_continuous(design: ContinuousDesign, seed=None) -> tuple[np.ndarray, np.ndarray]:
     """Draw (z, outcomes) from the continuous model.
 
-    Both arrays are (n_quadruples, 2, 2), indexed by quadruple, period and
-    member; z is 1 for the member treated in that period.
+    Given one seed or Generator, both arrays are (n_quadruples, 2, 2),
+    indexed by quadruple, period and member; z is 1 for the member treated
+    in that period.  Given a list or tuple of B seeds or Generators, one
+    per replication, both are (B, n_quadruples, 2, 2) and replication k
+    equals the one-seed call on seed[k], bit for bit: each replication makes
+    its own draws, and the model then runs once on the stacked arrays.
     """
-    rng = _rng(seed)
     n = design.n_quadruples
-    mu, alpha, beta, b, u, du1, du2 = _draw_units(rng, design, 0.0)
-    if design.residual == "normal":
-        eps = rng.normal(0.0, design.residual_scale, (n, 2, 2))
-    else:
-        eps = rng.lognormal(0.0, design.residual_scale, (n, 2, 2))
+
+    def draws(rng: np.random.Generator) -> list[np.ndarray]:
+        residual = rng.normal if design.residual == "normal" else rng.lognormal
+        return [
+            *_unit_draws(rng, design, 0.0),
+            residual(0.0, design.residual_scale, (n, 2, 2)),
+            rng.random(n),
+            rng.random(n),
+            *([rng.normal(0.0, design.tau_heterogeneity_sd, (n, 2))] if design.tau_heterogeneity_sd > 0 else []),
+        ]
+
+    one, (mu, alpha, beta, flips, u, eps, sign_u, assign_u, *tau_noise) = _replications(seed, draws)
+    b, du1, du2, z = _assignment(design, flips, u, assign_u)
     # Latent contrast of residuals; retilt its sign, keep its magnitude.
-    y_raw = (eps[:, 1, 0] - eps[:, 1, 1]) - b * (eps[:, 0, 0] - eps[:, 0, 1])
+    y_raw = (eps[..., 1, 0] - eps[..., 1, 1]) - b * (eps[..., 0, 0] - eps[..., 0, 1])
     eta = expit(design.delta2 * du2 - b * design.delta1 * du1)
-    sign = np.where(rng.random(n) < eta, 1.0, -1.0)
+    sign = np.where(sign_u < eta, 1.0, -1.0)
     y = sign * np.abs(y_raw)
-    eps[:, 1, 0] = y + eps[:, 1, 1] + b * (eps[:, 0, 0] - eps[:, 0, 1])
-    v1, v2 = _draw_assignment(rng, design, du1, du2, b)
-    tau_units = design.tau + (
-        rng.normal(0.0, design.tau_heterogeneity_sd, (n, 2))
-        if design.tau_heterogeneity_sd > 0
-        else np.zeros((n, 2))
-    )
-    z = _slot_z(v1, v2)
-    post = np.array([0.0, 1.0])[None, :, None]
+    eps[..., 1, 0] = y + eps[..., 1, 1] + b * (eps[..., 0, 0] - eps[..., 0, 1])
+    tau_units = design.tau + (tau_noise[0] if tau_noise else np.zeros(mu.shape + (2,)))
+    post = np.array([0.0, 1.0])[:, None]
     outcomes = (
-        mu[:, None, None]
-        + beta[:, None, None] * z
+        mu[..., None, None]
+        + beta[..., None, None] * z
         + eps
-        + post * (alpha[:, None, None] + tau_units[:, None, :] * z)
+        + post * (alpha[..., None, None] + tau_units[..., None, :] * z)
     )
-    return z, outcomes
+    return (z[0], outcomes[0]) if one else (z, outcomes)
 
 
 def generate_binary(design: BinaryDesign, seed=None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (z, outcomes) from the binary logit model, shaped as in generate_continuous."""
-    rng = _rng(seed)
+    """Draw (z, outcomes) from the binary logit model, shaped as in generate_continuous.
+
+    One seed gives (n_quadruples, 2, 2) arrays, a list or tuple of B seeds
+    (B, n_quadruples, 2, 2) arrays whose replication k equals the one-seed
+    call on seed[k], bit for bit.
+    """
     n = design.n_quadruples
-    mu, alpha, beta, b, u, du1, du2 = _draw_units(rng, design, design.mu_mean)
-    v1, v2 = _draw_assignment(rng, design, du1, du2, b)
-    z = _slot_z(v1, v2)
-    deltas = np.array([design.delta1, design.delta2])[None, :, None]
-    post = np.array([0.0, 1.0])[None, :, None]
+
+    def draws(rng: np.random.Generator) -> list[np.ndarray]:
+        return [*_unit_draws(rng, design, design.mu_mean), rng.random(n), rng.random((n, 2, 2))]
+
+    one, (mu, alpha, beta, flips, u, assign_u, outcome_u) = _replications(seed, draws)
+    b, du1, du2, z = _assignment(design, flips, u, assign_u)
+    deltas = np.array([design.delta1, design.delta2])[:, None]
+    post = np.array([0.0, 1.0])[:, None]
     logits = (
-        mu[:, None, None]
-        + beta[:, None, None] * z
+        mu[..., None, None]
+        + beta[..., None, None] * z
         + deltas * u
-        + post * (alpha[:, None, None] + design.tau_logit * z)
+        + post * (alpha[..., None, None] + design.tau_logit * z)
     )
-    outcomes = (rng.random((n, 2, 2)) < expit(logits)).astype(np.float64)
-    return z, outcomes
+    outcomes = (outcome_u < expit(logits)).astype(np.float64)
+    return (z[0], outcomes[0]) if one else (z, outcomes)
 
 
 @functools.lru_cache(maxsize=1)
@@ -234,38 +239,43 @@ def _unit_ids(n: int) -> np.ndarray:
 
 def quadruples_from_records(
     units: tuple[np.ndarray, np.ndarray], outcome_kind: str = "continuous"
-) -> QuadrupleSet:
+) -> QuadrupleSet | list[QuadrupleSet]:
     """Place generator output (z, outcomes) into quadruple slots.
 
     Member j of quadruple i in period t gets the unit id
     "q{i:05d}-p{t}-{a|b}"; each period's treated member fills the treated
     slot of that period.  Each (quadruple, period) puts its two members into
     two slots, so the units are distinct without a check, and the ids are
-    built when first read.
+    built when first read.  (n, 2, 2) arrays give one set; (B, n, 2, 2)
+    arrays, a batch, give a list of B sets, each equal to the set of its
+    own (n, 2, 2) arrays.
     """
     z, outcomes = (np.asarray(a) for a in units)
-    if z.ndim != 3 or z.shape[1:] != (2, 2) or outcomes.shape != z.shape:
+    if z.ndim not in (3, 4) or z.shape[-2:] != (2, 2) or outcomes.shape != z.shape:
         raise StructuralError(
-            f"expected (n, 2, 2) treatment and outcome arrays, got {z.shape} and {outcomes.shape}"
+            f"expected (n, 2, 2) or (B, n, 2, 2) treatment and outcome arrays, got {z.shape} and {outcomes.shape}"
         )
-    a, b = z[:, :, 0], z[:, :, 1]
+    a, b = z[..., 0], z[..., 1]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or huge flags are reported as bad below
         bad = np.argwhere((a + b != 1) | (a * b != 0))
     if bad.size:
-        i, t = bad[0]
-        raise StructuralError(f"quadruple 'q{i:05d}' period {t + 1} is not a treated-control pair")
-    n = z.shape[0]
-    a_treated = z[:, :, :1] == 1
+        *k, i, t = bad[0]
+        where = f"set {k[0]} " if k else ""
+        raise StructuralError(f"{where}quadruple 'q{i:05d}' period {t + 1} is not a treated-control pair")
+    n = z.shape[-3]
+    a_treated = z[..., :1] == 1
+    # (..., n, 4) rows in SLOTS order from values by quadruple, period and member.
+    slotted = np.where(a_treated, outcomes, outcomes[..., ::-1]).reshape(*z.shape[:-3], n, 4)
+    slotted = slotted.astype(np.float64, copy=False)
 
-    def slots(by_member: np.ndarray) -> np.ndarray:
-        """(n, 4) rows in SLOTS order from (n, 2, 2) values by quadruple, period and member."""
-        return np.where(a_treated, by_member, by_member[:, :, ::-1]).reshape(n, 4)
+    def one(k) -> QuadrupleSet:
+        return QuadrupleSet._of_distinct_units(
+            ids=lambda: np.where(a_treated[k], _unit_ids(n), _unit_ids(n)[..., ::-1]).reshape(n, 4),
+            outcomes=slotted[k],
+            outcome_kind=outcome_kind,
+        )
 
-    return QuadrupleSet._of_distinct_units(
-        ids=lambda: slots(_unit_ids(n)),
-        outcomes=slots(outcomes).astype(np.float64, copy=False),
-        outcome_kind=outcome_kind,
-    )
+    return one(...) if z.ndim == 3 else [one(k) for k in range(z.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -333,15 +343,6 @@ def _uninformative_row(plan: AnalysisPlan) -> dict:
     return row
 
 
-def _replication_set(design, plan: AnalysisPlan, kind: str, seed: np.random.SeedSequence) -> QuadrupleSet:
-    """The set one replication analyses: its quadruples, or for McNemar the eligible ones within budget."""
-    rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # outcomes that overflow fail the contrast check
-        units = generate_binary(design, rng) if kind == "binary" else generate_continuous(design, rng)
-    quads = quadruples_from_records(units, outcome_kind=kind)
-    return eligible_quadruples(quads).subset(slice(plan.mcnemar_budget)) if plan.test == "mcnemar" else quads
-
-
 def _analyze_one(quads: QuadrupleSet, res: TestResult, plan: AnalysisPlan, true_tau: float) -> dict:
     """Row of one replication's analysed set, whose p-value at plan.gamma is res."""
     row = {"statistic": res.statistic, "p_value": res.p_value, "n_effective": res.n_effective}
@@ -353,7 +354,7 @@ def _analyze_one(quads: QuadrupleSet, res: TestResult, plan: AnalysisPlan, true_
         row["bound_upper"] = hi
         row["covered"] = int(lo - 1e-9 <= true_tau <= hi + 1e-9)
     if plan.compute_changepoint:
-        cp = changepoint_gamma(upper_pvalues(quads, plan.test, plan.tau0, plan.sided), plan.alpha)
+        cp = changepoint_gamma(upper_pvalues(quads, plan.test, plan.tau0, plan.sided, (plan.gamma, res)), plan.alpha)
         row["changepoint"] = np.nan if cp is None else cp
     return row
 
@@ -367,11 +368,15 @@ def level_power_study(
     """Run `reps` generate-analyze replications with spawned seeds.
 
     Seeds are spawned per replication from the base seed, so results do
-    not depend on execution order and are reproducible bit for bit.  The
-    sign-score tests take the p-values of up to BATCH_REPS replications from
-    one `worst_case_pvalue` batch; sate, HL, estimate bounds and changepoints
-    go set by set.  A design and plan that break `outcome_takes_test` raise
-    ValueError.
+    not depend on execution order and are reproducible bit for bit.  A batch
+    of up to BATCH_REPS replications is generated in chunks: the generator
+    and `quadruples_from_records` take the seeds of as many replications as
+    fit in CHUNK_VALUES values of (B, n, 2, 2) arrays, at least one, and
+    give each set as its one seed would.  The sign-score tests take a
+    batch's p-values from one `worst_case_pvalue` call; sate, HL, estimate
+    bounds and changepoints go set by set, a changepoint's curve starting
+    from the batch's p-value.  A design and plan that break
+    `outcome_takes_test` raise ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -381,10 +386,19 @@ def level_power_study(
         raise ValueError(f"a {kind} design does not take test {plan.test}: "
                          "binary outcomes take mcnemar, and only they do")
     true_tau = design.tau_logit if binary else design.tau
+    generate = generate_binary if binary else generate_continuous
+    per_chunk = max(1, CHUNK_VALUES // (4 * design.n_quadruples))
     children = np.random.SeedSequence(seed).spawn(reps)
     rows: list[dict] = []
     for start in range(0, reps, BATCH_REPS):
-        sets = [_replication_set(design, plan, kind, child) for child in children[start : start + BATCH_REPS]]
+        batch, sets = children[start : start + BATCH_REPS], []
+        for at in range(0, len(batch), per_chunk):
+            with np.errstate(over="ignore", invalid="ignore"):  # outcomes that overflow fail the contrast check
+                units = generate(design, batch[at : at + per_chunk])
+            chunk = quadruples_from_records(units, outcome_kind=kind)
+            if plan.test == "mcnemar":  # a McNemar replication analyses its eligible quadruples within budget
+                chunk = [eligible_quadruples(quads).subset(slice(plan.mcnemar_budget)) for quads in chunk]
+            sets += chunk
         informative = [quads for quads in sets if quads]  # only a McNemar set can be empty
         if plan.test == "sate":
             results = [upper_pvalues(quads, plan.test, plan.tau0, plan.sided)(plan.gamma) for quads in informative]

@@ -578,3 +578,24 @@ def test_binary_sens_report(tmp_path):
 def test_patterns_command(tmp_path):
     assert cli.main(["patterns", "--outdir", str(tmp_path / "svg")]) == 0
     assert len(list((tmp_path / "svg").glob("pattern_*.svg"))) == 8
+
+
+def test_configs_parse_to_the_objects_safe_load_gives(tmp_path, monkeypatch):
+    text = (
+        "seed: 0x1f\nalpha: .05\ngammas: [1, 1.5e0, .inf]\ncaliper: ~\nflag: yes\nwhen: 2001-12-14\n"
+        "labels: {'1': 1, pre: 2}\nname: !!str 12\nnested:\n  - {a: -0.0, b: 1_000}\n"
+    )
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    parsed = yaml.load(text, Loader=cli._YAML_LOADER)
+    assert repr(parsed) == repr(yaml.safe_load(text))
+    seen = []
+    monkeypatch.setattr(cli, "config_from_mapping", seen.append)
+    cli.load_config(str(path))
+    assert repr(seen) == repr([parsed])
+    path.write_text("a: [1, 2\n", encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match="^config parse error: "):
+        cli.load_config(str(path))
+    path.write_text("!!python/object:os.system ls\n", encoding="utf-8")
+    with pytest.raises(cli.ConfigError, match="^config parse error: "):
+        cli.load_config(str(path))

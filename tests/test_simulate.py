@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,10 +386,82 @@ def test_a_simulated_mcnemar_batch_equals_its_replications_one_at_a_time(seed, b
         (ContinuousDesign(30), AnalysisPlan(test="signed_rank", gamma=1.3, sided="two_sided", compute_hl=True)),
         (BinaryDesign(10, mu_mean=-1.5), AnalysisPlan(test="mcnemar", mcnemar_budget=2, estimate_gamma=1.1)),
         (ContinuousDesign(30), AnalysisPlan(test="sate", compute_changepoint=True)),
+        (ContinuousDesign(25, tau=0.3, tau_heterogeneity_sd=0.5, residual="lognormal", residual_scale=0.8,
+                          lambda1=0.6, lambda2=-0.9, delta1=0.4, delta2=1.1, u_dist="uniform"),
+         AnalysisPlan(test="permutational_t", compute_hl=True, estimate_gamma=1.2, compute_changepoint=True)),
+        (BinaryDesign(40, tau_logit=0.7, lambda1=-0.5, lambda2=0.8, delta1=1.2, delta2=-0.6, u_dist="uniform"),
+         AnalysisPlan(test="mcnemar", compute_hl=True, compute_changepoint=True)),
     ],
-    ids=["signed_rank", "mcnemar", "sate"],
+    ids=["signed_rank", "mcnemar", "sate", "continuous_all_fields", "binary_all_fields"],
 )
 def test_rows_do_not_depend_on_the_batch_size(monkeypatch, design, plan):
     whole = level_power_study(design, plan, reps=7, seed=4)
     monkeypatch.setattr(simulate, "BATCH_REPS", 3)
-    assert repr(level_power_study(design, plan, reps=7, seed=4)) == repr(whole)
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(simulate, "CHUNK_VALUES", 4 * design.n_quadruples * per_chunk)
+        assert repr(level_power_study(design, plan, reps=7, seed=4)) == repr(whole)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    binary=st.booleans(),
+    n=st.integers(1, 12),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    fields=st.fixed_dictionaries({
+        "lambda1": st.sampled_from([0.0, 0.7]),
+        "lambda2": st.sampled_from([0.0, -1.3]),
+        "delta1": st.sampled_from([0.0, 0.9]),
+        "delta2": st.sampled_from([0.0, 2.0]),
+        "u_dist": st.sampled_from(simulate.U_DISTS),
+    }),
+    continuous=st.fixed_dictionaries({
+        "residual": st.sampled_from(simulate.RESIDUALS),
+        "tau_heterogeneity_sd": st.sampled_from([0.0, 0.4]),
+    }),
+)
+def test_a_generated_chunk_equals_its_replications_one_seed_at_a_time(binary, n, k, seed, fields, continuous):
+    if binary:
+        design, generate, kind = BinaryDesign(n, tau_logit=0.5, mu_mean=-0.3, **fields), generate_binary, "binary"
+    else:
+        design, generate, kind = ContinuousDesign(n, tau=0.2, **fields, **continuous), generate_continuous, "continuous"
+    seeds = np.random.SeedSequence(seed).spawn(k)
+    chunk = generate(design, [np.random.default_rng(s) for s in seeds])
+    alone = [generate(design, s) for s in seeds]
+    for batched, one in zip(chunk, zip(*alone), strict=True):
+        stacked = np.stack(one)
+        assert batched.dtype == stacked.dtype and batched.shape == stacked.shape == (k, n, 2, 2)
+        assert batched.tobytes() == stacked.tobytes()
+    for quads, units in zip(quadruples_from_records(chunk, kind), alone, strict=True):
+        own = quadruples_from_records(units, kind)
+        assert quads.outcomes.tobytes() == own.outcomes.tobytes()
+        assert quads.ids.tolist() == own.ids.tolist() and quads.outcome_kind == own.outcome_kind
+
+
+def test_batched_records_name_the_set_of_a_bad_pair():
+    z, outcomes = generate_continuous(ContinuousDesign(n_quadruples=4), seed=[1, 2, 3])
+    z = z.copy()
+    z[1, 2, 1] = (1, 1)
+    z[2, 0, 0] = (0, 0)  # a later bad set; the error names the first
+    with pytest.raises(StructuralError, match="^set 1 quadruple 'q00002' period 2 is not a treated-control pair$"):
+        quadruples_from_records((z, outcomes))
+    with pytest.raises(StructuralError, match="expected \\(n, 2, 2\\) or \\(B, n, 2, 2\\)"):
+        quadruples_from_records((z[None], outcomes[None]))
+
+
+def test_a_simulation_batch_takes_little_more_memory_than_one_replication():
+    # Chunks bound the generator's arrays: a whole 32-replication batch of n = 1,200 generated at once
+    # peaks near 28 times the one-replication peak under tracemalloc, a chunk cap of three replications
+    # near 4 times, one replication per chunk near 2 times.
+    design, plan = BinaryDesign(n_quadruples=1200), AnalysisPlan(test="mcnemar", mcnemar_budget=100)
+    level_power_study(design, plan, reps=1)  # lazy imports and caches
+
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            level_power_study(design, plan, reps=reps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(simulate.BATCH_REPS) <= 3 * peak(1)

@@ -53,3 +53,23 @@ def test_claim_is_not_met_with_a_gain_within_the_parent_iqr():
     assert not claim["met"]
     # no gain at all
     assert not _claim(list(PARENT))["met"]
+
+
+def test_verdict_is_worse_when_the_median_loses_more_than_the_bound():
+    # parent median 1.045; a bound of 0.05 allows up to 1.097
+    assert paired_bench._verdict(PARENT, [p + 0.06 for p in PARENT], True, 0.05) == "worse"
+    assert paired_bench._verdict(PARENT, [p + 0.04 for p in PARENT], True, 0.05) == "ok"
+    # for a higher-is-better metric the same runs are a gain, and a drop is the loss
+    assert paired_bench._verdict(PARENT, [p + 0.06 for p in PARENT], False, 0.05) == "ok"
+    assert paired_bench._verdict(PARENT, [p - 0.06 for p in PARENT], False, 0.05) == "worse"
+
+
+def test_verdict_is_unresolved_when_a_side_spreads_wider_than_the_bound():
+    # the parent's IQR is 0.045 / 1.045 = 4.3 % of its median
+    assert paired_bench._verdict(PARENT, list(PARENT), True, 0.05) == "ok"
+    assert paired_bench._verdict(PARENT, list(PARENT), True, 0.04) == "unresolved"
+    wide_change = [1.0, 0.8, 1.2, 0.8, 1.2, 0.8, 1.2, 0.8, 1.2, 1.0]
+    assert paired_bench._verdict(PARENT, wide_change, True, 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert paired_bench._verdict(PARENT, [p - 0.2 for p in PARENT], True, 0.04) == "ok"
+    assert paired_bench._verdict(PARENT, [p + 0.2 for p in PARENT], False, 0.04) == "ok"

@@ -16,10 +16,14 @@ Writes the `label`, `parent_sha`, `change_sha`, `host`, `command`, `pairs`,
 of the repository's BENCH files; blocks already in the file that are not
 among these keep their content.  `paired` gives, per workload and
 end-to-end metric of the change's BENCHMARK.json, the median and quartiles
-of each side, the pairs in which the change is better and every run.  A
-claim is on `pipeline_s` and is met when the change is better in at least
-9 of 10 pairs and its median beats the parent's by more than the parent's
-interquartile range.
+of each side, the pairs in which the change is better, every run and a
+verdict: `worse` when the change's median is worse than the parent's by
+more than the metric's `bound`, relative to the parent's median;
+`unresolved` when either side's interquartile range exceeds the bound,
+relative to its median, and not every change run beats every parent run;
+`ok` otherwise.  A claim is on `pipeline_s` and is met when the change is
+better in at least 9 of 10 pairs and its median beats the parent's by more
+than the parent's interquartile range.
 """
 
 import argparse
@@ -70,6 +74,18 @@ def _compare(parent: list[float], change: list[float], lower_is_better: bool) ->
         "parent_runs": [_rounded(v) for v in parent],
         "change_runs": [_rounded(v) for v in change],
     }
+
+
+def _verdict(parent: list[float], change: list[float], lower_is_better: bool, bound: float) -> str:
+    """"worse", "unresolved" or "ok" for one end-to-end metric, as the module docstring defines them."""
+    sign = 1.0 if lower_is_better else -1.0
+    pm = float(np.median(parent))
+    if sign * (float(np.median(change)) - pm) > bound * abs(pm):
+        return "worse"
+    quartiles = (np.percentile(runs, [25, 50, 75]) for runs in (parent, change))
+    wide = any(q3 - q1 > bound * abs(median) for q1, median, q3 in quartiles)
+    every_run_better = max(change) < min(parent) if lower_is_better else min(change) > max(parent)
+    return "unresolved" if wide and not every_run_better else "ok"
 
 
 def _claim(block: dict, workload: str, metric: str, unit: str, lower_is_better: bool) -> dict:
@@ -123,6 +139,7 @@ def main(argv: list[str]) -> int:
                 raise SystemExit(f"git archive {shas[side]} failed: {error}")
         metrics = json.loads((Path(change_tree) / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
         lower = {m["name"]: m["better"] == "lower" for m in metrics}
+        bounds = {m["name"]: m["bound"] for m in metrics}
         paired = {}
         for workload, seeds in plan.items():
             runs = {side: [] for side in SIDES}
@@ -136,6 +153,7 @@ def main(argv: list[str]) -> int:
             for name in lower:
                 values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
                 block[name] = _compare(values["parent"], values["change"], lower[name])
+                block[name]["verdict"] = _verdict(values["parent"], values["change"], lower[name], bounds[name])
             block["correct"] = all(r["correct"] for side in SIDES for r in runs[side])
             block["failed_ops"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
             block["attempted_ops"] = {side: sum(r["attempted"] for r in runs[side]) for side in SIDES}
