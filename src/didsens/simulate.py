@@ -135,7 +135,8 @@ def _replications(seed, draws) -> tuple[bool, list[np.ndarray]]:
     replication's arrays from `draws(rng)`, made in stream order, stacked on a leading axis."""
     one = not isinstance(seed, (list, tuple))
     per_rep = [draws(np.random.default_rng(s)) for s in ([seed] if one else seed)]
-    return one, [np.stack(arrays) for arrays in zip(*per_rep)]
+    # A chunk of one, as a large design gets, is a view: stacking would copy every draw.
+    return one, [np.stack(arrays) if len(arrays) > 1 else arrays[0][None] for arrays in zip(*per_rep)]
 
 
 def _unit_draws(rng: np.random.Generator, design, mu_mean: float) -> list[np.ndarray]:
@@ -159,7 +160,10 @@ def _assignment(design, flips: np.ndarray, u: np.ndarray, assign_u: np.ndarray) 
     rho = expit(design.lambda2 * du2 + b * design.lambda1 * du1)
     v2 = np.where(assign_u < rho, 1, -1)
     v = np.stack([v2 * b, v2], axis=-1)
-    return b, du1, du2, np.stack([v == 1, v == -1], axis=-1).astype(np.int64)
+    z = np.empty(v.shape + (2,), dtype=np.int64)
+    z[..., 0] = v == 1
+    z[..., 1] = v == -1
+    return b, du1, du2, z
 
 
 def generate_continuous(design: ContinuousDesign, seed=None) -> tuple[np.ndarray, np.ndarray]:

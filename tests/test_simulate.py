@@ -440,7 +440,6 @@ def test_a_generated_chunk_equals_its_replications_one_seed_at_a_time(binary, n,
 
 def test_batched_records_name_the_set_of_a_bad_pair():
     z, outcomes = generate_continuous(ContinuousDesign(n_quadruples=4), seed=[1, 2, 3])
-    z = z.copy()
     z[1, 2, 1] = (1, 1)
     z[2, 0, 0] = (0, 0)  # a later bad set; the error names the first
     with pytest.raises(StructuralError, match="^set 1 quadruple 'q00002' period 2 is not a treated-control pair$"):
